@@ -151,7 +151,7 @@ std::size_t Codec::warm(std::span<const FailureScenario> scenarios) {
   return warmed;
 }
 
-std::shared_ptr<CachedPlan> Codec::build_plan(
+std::shared_ptr<CachedPlan> Codec::solve_plan(
     const FailureScenario& scenario) const {
   const Matrix& h = code_->parity_check();
   const LogTable table = LogTable::build(h, scenario.faulty());
@@ -179,6 +179,17 @@ std::shared_ptr<CachedPlan> Codec::build_plan(
     if (!rest.has_value()) return nullptr;
     plan->rest_plan_ = std::move(*rest);
   }
+  return plan;
+}
+
+bool Codec::decodable(const FailureScenario& scenario) const {
+  return solve_plan(scenario) != nullptr;
+}
+
+std::shared_ptr<CachedPlan> Codec::build_plan(
+    const FailureScenario& scenario) const {
+  auto plan = solve_plan(scenario);
+  if (plan == nullptr) return nullptr;
   // Every plan carries its hazard/cost profile from birth: consumers
   // (`ppm_cli analyze`, the plan store, schedulers) read profile()
   // instead of re-running the analysis, and the store cross-checks the

@@ -181,6 +181,13 @@ class Codec {
   /// after LRU eviction.
   std::shared_ptr<const CachedPlan> plan_for(const FailureScenario& scenario);
 
+  /// Exactly `plan_for(scenario) != nullptr`, without touching the plan
+  /// cache, the store or the metrics: the sub-plan algebra is solved and
+  /// discarded, with no hazard analysis or schedule optimization. For
+  /// what-if probes (the scrubber's "one more erasure" risk ranking) that
+  /// must not evict the plans serving traffic.
+  bool decodable(const FailureScenario& scenario) const;
+
   /// Decode one stripe using the cached plan.
   bool decode(const FailureScenario& scenario, std::uint8_t* const* blocks,
               std::size_t block_bytes, DecodeStats* stats = nullptr);
@@ -257,6 +264,9 @@ class Codec {
   std::string metrics_json() const { return metrics_.to_json(); }
 
  private:
+  /// The plan's group and rest sub-plans, or nullptr when undecodable.
+  std::shared_ptr<CachedPlan> solve_plan(const FailureScenario& scenario) const;
+  /// solve_plan plus the hazard profile and optional XOR schedules.
   std::shared_ptr<CachedPlan> build_plan(const FailureScenario& scenario) const;
   ThreadPool& batch_pool();
 

@@ -1,9 +1,11 @@
-// CPU feature detection used to select Galois-field region kernels at runtime.
+// CPU feature detection used to select the Galois-field region kernels and
+// the CRC-32 kernels at runtime.
 #pragma once
 
 namespace ppm {
 
-/// Instruction-set levels the GF region kernels are specialized for.
+/// Instruction-set levels the GF region kernels are specialized for; the
+/// CRC-32 dispatch (common/crc32.h) maps onto the same levels.
 enum class IsaLevel {
   kScalar = 0,  ///< portable C++, no vector intrinsics
   kSsse3 = 1,   ///< 128-bit pshufb split-table kernels
@@ -15,7 +17,8 @@ enum class IsaLevel {
 ///
 /// Honours the environment variable `PPM_FORCE_ISA` (values: `scalar`,
 /// `ssse3`, `avx2`, `avx512`) which caps the detected level; this is how
-/// tests and the Fig. 10 CPU-proxy benchmark pin a kernel family.
+/// tests and the Fig. 10 CPU-proxy benchmark pin a kernel family (GF
+/// region and CRC-32 alike).
 IsaLevel detect_isa();
 
 /// Human-readable name for an ISA level.

@@ -158,14 +158,15 @@ std::vector<RiskAssessment> Scrubber::rank(const SweepReport& report) {
       // One more erasure exceeds the check-row count outright.
       risk.erasures_to_failure = 1;
     } else {
-      // Probe every single additional erasure through the plan cache;
-      // 2 means "survives any one more", not an exact distance.
+      // Probe every single additional erasure; 2 means "survives any one
+      // more", not an exact distance. The probes bypass the plan cache so
+      // they cannot evict the plans serving traffic.
       risk.erasures_to_failure = 2;
       for (std::size_t b = 0; b < code.total_blocks(); ++b) {
         if (scenario.contains(b)) continue;
         std::vector<std::size_t> probe = risk.faulty;
         probe.push_back(b);
-        if (codec_->plan_for(FailureScenario(std::move(probe))) == nullptr) {
+        if (!codec_->decodable(FailureScenario(std::move(probe)))) {
           risk.erasures_to_failure = 1;
           break;
         }

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <set>
+#include <vector>
 
 #include "codec/codec.h"
 #include "test_util.h"
@@ -138,6 +141,67 @@ TEST(Codec, UndecodableScenarioReturnsFalse) {
   EXPECT_FALSE(codec.decode(FailureScenario({0, 1, 2}), stripe.block_ptrs(),
                             256));
   EXPECT_EQ(codec.plan_for(FailureScenario({0, 1, 2})), nullptr);
+}
+
+TEST(Codec, DecodableMatchesPlanForWithoutCaching) {
+  // The nine families at ppm_cli's default parameters, over its --sweep 2
+  // scenarios (every one- and two-disk failure), each also probed with
+  // one more erased block — the question Scrubber::rank asks.
+  std::vector<std::unique_ptr<ErasureCode>> codes;
+  codes.push_back(std::make_unique<SDCode>(8, 16, 2, 2,
+                                           SDCode::recommended_width(8, 16)));
+  codes.push_back(std::make_unique<PMDSCode>(
+      8, 16, 2, 2, SDCode::recommended_width(8, 16)));
+  codes.push_back(std::make_unique<LRCCode>(12, 3, 2, 8));
+  codes.push_back(std::make_unique<XorbasLRCCode>(10, 2, 4, 8));
+  codes.push_back(std::make_unique<RSCode>(10, 4, 8));
+  codes.push_back(std::make_unique<CRSCode>(10, 4, 8));
+  codes.push_back(std::make_unique<StarCode>(7, 8));
+  codes.push_back(std::make_unique<EvenOddCode>(7, 8));
+  codes.push_back(std::make_unique<RDPCode>(7, 8));
+  for (const auto& code : codes) {
+    Codec codec(*code);
+    std::size_t undecodable = 0;
+    const auto check = [&](const std::vector<std::size_t>& faulty) {
+      const FailureScenario sc(faulty);
+      const std::size_t cached = codec.cache_size();
+      const bool decodable = codec.decodable(sc);
+      EXPECT_EQ(codec.cache_size(), cached);
+      EXPECT_EQ(decodable, codec.plan_for(sc) != nullptr)
+          << code->name() << " faulty=" << faulty.size();
+      if (!decodable) ++undecodable;
+    };
+    const std::size_t disks = code->disks();
+    for (std::size_t d0 = 0; d0 < disks; ++d0) {
+      for (std::size_t d1 = d0; d1 < disks; ++d1) {
+        std::vector<std::size_t> faulty;
+        for (std::size_t row = 0; row < code->rows(); ++row) {
+          faulty.push_back(code->block_id(row, d0));
+          if (d1 != d0) faulty.push_back(code->block_id(row, d1));
+        }
+        check(faulty);
+        // One more erasure on the next disk over, first and last row.
+        const std::size_t d2 = (d1 + 1) % disks;
+        if (d2 == d0) continue;
+        for (const std::size_t row :
+             std::set<std::size_t>{0, code->rows() - 1}) {
+          std::vector<std::size_t> probe = faulty;
+          probe.push_back(code->block_id(row, d2));
+          check(probe);
+        }
+      }
+    }
+    // Then whole disks 0, 1, 2, ... until the code gives out, so every
+    // family answers "no" at least once.
+    std::vector<std::size_t> faulty;
+    for (std::size_t d = 0; d < disks && undecodable == 0; ++d) {
+      for (std::size_t row = 0; row < code->rows(); ++row) {
+        faulty.push_back(code->block_id(row, d));
+      }
+      check(faulty);
+    }
+    EXPECT_GT(undecodable, 0u) << code->name();
+  }
 }
 
 TEST(Codec, EncodeMatchesTraditional) {

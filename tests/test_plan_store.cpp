@@ -18,29 +18,13 @@
 #include "decode/scenario.h"
 #include "decode/traditional_decoder.h"
 #include "plan_store/plan_store.h"
+#include "test_util.h"
 #include "workload/stripe.h"
 
 namespace ppm {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Unique store directory per test, removed on scope exit.
-class StoreDir {
- public:
-  explicit StoreDir(const std::string& tag)
-      : path_(fs::temp_directory_path() /
-              ("ppm_store_" + tag + "_" +
-               std::to_string(static_cast<unsigned long long>(
-                   reinterpret_cast<std::uintptr_t>(this))))) {
-    fs::remove_all(path_);
-  }
-  ~StoreDir() { fs::remove_all(path_); }
-  const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
 
 SDCode test_code() {
   return SDCode(6, 8, 2, 2, SDCode::recommended_width(6, 8));
@@ -148,7 +132,7 @@ TEST(PlanStoreFormat, RejectsRecordOfForeignCode) {
 
 TEST(PlanStore, PutThenLoadReVerifies) {
   const SDCode code = test_code();
-  const StoreDir dir("put_load");
+  const test::TempDir dir("put_load");
   planstore::PlanStore store(dir.path());
   Codec codec(code);
   const FailureScenario sc = disk_failure(code, 2);
@@ -172,7 +156,7 @@ TEST(PlanStore, PutThenLoadReVerifies) {
 
 TEST(PlanStore, CodecWriteThroughAndReadThrough) {
   const SDCode code = test_code();
-  const StoreDir dir("write_read");
+  const test::TempDir dir("write_read");
   const FailureScenario sc = disk_failure(code, 0);
 
   Codec writer(code);
@@ -196,7 +180,7 @@ TEST(PlanStore, CodecWriteThroughAndReadThrough) {
 
 TEST(PlanStore, WarmPopulatesShardedCache) {
   const SDCode code = test_code();
-  const StoreDir dir("warm");
+  const test::TempDir dir("warm");
   Codec writer(code);
   writer.attach_store(dir.path().string());
   for (std::size_t d = 0; d < 3; ++d) {
@@ -217,7 +201,7 @@ TEST(PlanStore, WarmPopulatesShardedCache) {
 
 TEST(PlanStore, ScenarioListWarmLoadsSelectedKeys) {
   const SDCode code = test_code();
-  const StoreDir dir("warm_list");
+  const test::TempDir dir("warm_list");
   Codec writer(code);
   writer.attach_store(dir.path().string());
   const std::vector<FailureScenario> scenarios = {disk_failure(code, 0),
@@ -233,7 +217,7 @@ TEST(PlanStore, ScenarioListWarmLoadsSelectedKeys) {
 
 TEST(PlanStore, CorruptPayloadIsQuarantinedAndRebuilt) {
   const SDCode code = test_code();
-  const StoreDir dir("corrupt");
+  const test::TempDir dir("corrupt");
   const FailureScenario sc = disk_failure(code, 1);
   Codec writer(code);
   writer.attach_store(dir.path().string());
@@ -272,7 +256,7 @@ TEST(PlanStore, CorruptPayloadIsQuarantinedAndRebuilt) {
 
 TEST(PlanStore, TruncatedRecordIsQuarantined) {
   const SDCode code = test_code();
-  const StoreDir dir("truncate");
+  const test::TempDir dir("truncate");
   const FailureScenario sc = disk_failure(code, 0);
   Codec writer(code);
   writer.attach_store(dir.path().string());
@@ -293,7 +277,7 @@ TEST(PlanStore, TruncatedRecordIsQuarantined) {
 
 TEST(PlanStore, FutureFormatVersionIsQuarantined) {
   const SDCode code = test_code();
-  const StoreDir dir("version");
+  const test::TempDir dir("version");
   const FailureScenario sc = disk_failure(code, 0);
   Codec writer(code);
   writer.attach_store(dir.path().string());
@@ -319,7 +303,7 @@ TEST(PlanStore, PutReportsFailureWhenTmpPathUnwritable) {
   // even open. put() must report false and leave no record behind. (A
   // directory blocks root too, unlike permission bits.)
   const SDCode code = test_code();
-  const StoreDir dir("put_tmp_blocked");
+  const test::TempDir dir("put_tmp_blocked");
   planstore::PlanStore store(dir.path());
   Codec codec(code);
   const FailureScenario sc = disk_failure(code, 0);
@@ -339,7 +323,7 @@ TEST(PlanStore, PutReportsFailureWhenPublishBlockedAndRemovesTmp) {
   // atomic rename cannot publish. put() must report false and must not
   // leak the staged .tmp file.
   const SDCode code = test_code();
-  const StoreDir dir("put_publish_blocked");
+  const test::TempDir dir("put_publish_blocked");
   planstore::PlanStore store(dir.path());
   Codec codec(code);
   const FailureScenario sc = disk_failure(code, 1);
@@ -360,7 +344,7 @@ TEST(PlanStore, CodecCountsStoreFailureAndStillDecodes) {
   // path must proceed untroubled, and the failure must surface as the
   // planstore.store_failures counter rather than an exception.
   const SDCode code = test_code();
-  const StoreDir dir("put_counter");
+  const test::TempDir dir("put_counter");
   const FailureScenario sc = disk_failure(code, 2);
 
   Codec codec(code);
@@ -381,7 +365,7 @@ TEST(PlanStore, CodecCountsStoreFailureAndStillDecodes) {
 
 TEST(PlanStore, CheckReportsAndGcRemovesQuarantined) {
   const SDCode code = test_code();
-  const StoreDir dir("check_gc");
+  const test::TempDir dir("check_gc");
   Codec writer(code);
   writer.attach_store(dir.path().string());
   for (std::size_t d = 0; d < 3; ++d) {
@@ -427,7 +411,7 @@ TEST(PlanStore, GcRetainsTheNewestQuarantinedFiles) {
   // Quarantined records are forensic evidence: gc(keep) must age out the
   // oldest ones and keep exactly the `keep` newest, never all of them
   // forever and never the ones an operator still wants to inspect.
-  const StoreDir dir("gc_retention");
+  const test::TempDir dir("gc_retention");
   planstore::PlanStore store(dir.path());
   const auto now = fs::file_time_type::clock::now();
   for (int i = 0; i < 4; ++i) {

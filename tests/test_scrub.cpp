@@ -31,6 +31,7 @@
 #include "scrub/rate_limiter.h"
 #include "scrub/scrub.h"
 #include "serve/server.h"
+#include "test_util.h"
 #include "workload/stripe.h"
 
 namespace ppm {
@@ -43,23 +44,6 @@ using io::FaultSpec;
 using io::MemoryBlockStore;
 using io::ReadStatus;
 using io::WriteStatus;
-
-// Unique scratch directory per test, removed on scope exit.
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(fs::temp_directory_path() /
-              ("ppm_scrub_" + tag + "_" +
-               std::to_string(static_cast<unsigned long long>(
-                   reinterpret_cast<std::uintptr_t>(this))))) {
-    fs::remove_all(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
 
 // One stripe of "storage" behind the read/write fault seam the scrubber
 // patrols through, plus the decode scratch and reference digests a
@@ -328,7 +312,7 @@ TEST(WriteFaults, WriteWithoutAWriterFails) {
 // ---- Repair journal -------------------------------------------------------
 
 TEST(RepairJournal, IntentThenCommitRoundTrips) {
-  TempDir dir("journal_roundtrip");
+  test::TempDir dir("journal_roundtrip");
   scrub::RepairJournal journal(dir.path());
   const auto seq = journal.begin("stripe-0", {2, 5}, {0xAAu, 0xBBu});
   ASSERT_TRUE(seq.has_value());
@@ -344,7 +328,7 @@ TEST(RepairJournal, IntentThenCommitRoundTrips) {
 }
 
 TEST(RepairJournal, CommitMayClaimASubsetOfTheIntent) {
-  TempDir dir("journal_subset");
+  test::TempDir dir("journal_subset");
   scrub::RepairJournal journal(dir.path());
   const auto seq = journal.begin("s", {1, 2, 3}, {1u, 2u, 3u});
   ASSERT_TRUE(seq.has_value());
@@ -356,7 +340,7 @@ TEST(RepairJournal, CommitMayClaimASubsetOfTheIntent) {
 }
 
 TEST(RepairJournal, SequenceResumesPastExistingRecords) {
-  TempDir dir("journal_resume");
+  test::TempDir dir("journal_resume");
   std::uint64_t first = 0;
   {
     scrub::RepairJournal journal(dir.path());
@@ -369,7 +353,7 @@ TEST(RepairJournal, SequenceResumesPastExistingRecords) {
 }
 
 TEST(RepairJournal, OnlyTheBeginningInstanceCanCommit) {
-  TempDir dir("journal_instance");
+  test::TempDir dir("journal_instance");
   std::uint64_t seq = 0;
   {
     scrub::RepairJournal journal(dir.path());
@@ -385,7 +369,7 @@ TEST(RepairJournal, OnlyTheBeginningInstanceCanCommit) {
 }
 
 TEST(RepairJournal, TamperedRecordsAreQuarantinedOnLoad) {
-  TempDir dir("journal_tamper");
+  test::TempDir dir("journal_tamper");
   scrub::RepairJournal journal(dir.path());
   const auto seq = journal.begin("s", {0}, {0x1234u});
   ASSERT_TRUE(seq.has_value());
@@ -407,7 +391,7 @@ TEST(RepairJournal, TamperedRecordsAreQuarantinedOnLoad) {
 }
 
 TEST(RepairJournal, GcKeepsIntentsAndANewestQuarantineWindow) {
-  TempDir dir("journal_gc");
+  test::TempDir dir("journal_gc");
   scrub::RepairJournal journal(dir.path());
   // One committed, one intent, three quarantined, one stale tmp.
   const auto committed = journal.begin("a", {0}, {0u});
@@ -433,7 +417,7 @@ TEST(RepairJournal, GcKeepsIntentsAndANewestQuarantineWindow) {
 }
 
 TEST(RepairJournal, StoreFailuresAreCountedNotThrown) {
-  TempDir dir("journal_badpath");
+  test::TempDir dir("journal_badpath");
   // A *file* where the journal directory should be: every record write
   // fails, none throws, and the failure is visible in the metrics.
   std::ofstream(dir.path()) << "not a directory";
@@ -559,6 +543,35 @@ TEST(Scrub, CoupledDamageRanksAboveIsolatedDamage) {
   EXPECT_GE(ranking[0].coupled_faulty, ranking[1].coupled_faulty);
 }
 
+TEST(Scrub, RankLeavesTheServingPlanCacheAlone) {
+  // A small strict-LRU cache: before rank() probed through plan_for, its
+  // ~dozen "one more erasure" plans evicted the hot plan outright.
+  const RSCode code(6, 3, 8);
+  Codec::Options opt;
+  opt.cache_capacity = 4;
+  opt.cache_shards = 1;
+  Codec codec(code, opt);
+  const FailureScenario hot({4});
+  ASSERT_NE(codec.plan_for(hot), nullptr);
+
+  TestStripe stripe(code, 256, 12);
+  stripe.seam->set_fault(0, corrupt_spec());
+  scrub::Scrubber scrubber(codec, scrub::ScrubOptions{});
+  scrubber.add_target(stripe.target("s"));
+  const auto ranking = scrubber.rank(scrubber.sweep());
+  ASSERT_EQ(ranking.size(), 1u);
+  EXPECT_EQ(ranking[0].erasures_to_failure, 2u);
+  // rank() cached only the damaged stripe's own scenario, which its
+  // repair is about to need.
+  EXPECT_EQ(codec.cache_size(), 2u);
+
+  const std::size_t hits = codec.cache_hits();
+  const std::size_t misses = codec.cache_misses();
+  ASSERT_NE(codec.plan_for(hot), nullptr);
+  EXPECT_EQ(codec.cache_hits(), hits + 1);
+  EXPECT_EQ(codec.cache_misses(), misses);
+}
+
 // ---- Repair ---------------------------------------------------------------
 
 TEST(Scrub, CycleRepairsDamageByteIdentically) {
@@ -569,7 +582,7 @@ TEST(Scrub, CycleRepairsDamageByteIdentically) {
   stripe.seam->set_fault(5, dead_spec());
 
   scrub_metrics().reset();
-  TempDir dir("cycle_repair");
+  test::TempDir dir("cycle_repair");
   scrub::RepairJournal journal(dir.path());
   scrub::Scrubber scrubber(codec, scrub::ScrubOptions{}, &journal);
   scrubber.add_target(stripe.target("s"));
@@ -631,7 +644,7 @@ TEST(Scrub, WritebackFailureIsCountedAndNotCommittedAsRepaired) {
   stripe.seam->set_fault(2, spec);
 
   scrub_metrics().reset();
-  TempDir dir("writeback_fail");
+  test::TempDir dir("writeback_fail");
   scrub::RepairJournal journal(dir.path());
   scrub::Scrubber scrubber(codec, scrub::ScrubOptions{}, &journal);
   scrubber.add_target(stripe.target("s"));
@@ -658,7 +671,7 @@ TEST(Scrub, CrashBetweenIntentAndCommitLeavesActionableEvidence) {
   TestStripe stripe(code, 512, 13);
   stripe.seam->set_fault(1, corrupt_spec());
 
-  TempDir dir("crash_drill");
+  test::TempDir dir("crash_drill");
   {
     scrub::ScrubOptions options;
     options.crash_after_intents = 1;
@@ -702,7 +715,7 @@ TEST(Scrub, ReplayQuarantinesFalseRepairedClaims) {
   Codec codec(code);
   TestStripe stripe(code, 512, 14);
 
-  TempDir dir("false_claim");
+  test::TempDir dir("false_claim");
   scrub::RepairJournal journal(dir.path());
   // A committed record claiming block 3 was repaired — while the storage
   // actually holds garbage there. Zero trust: the claim must die.
@@ -726,7 +739,7 @@ TEST(Scrub, ReplayQuarantinesRecordsNamingNoKnownStripe) {
   Codec codec(code);
   TestStripe stripe(code, 512, 15);
 
-  TempDir dir("unmatched");
+  test::TempDir dir("unmatched");
   scrub::RepairJournal journal(dir.path());
   const auto seq = journal.begin("ghost-stripe", {0}, {0u});
   ASSERT_TRUE(seq.has_value());

@@ -17,6 +17,7 @@
 #include "search_coeff/certify.h"
 #include "search_coeff/scenario_enum.h"
 #include "search_coeff/search.h"
+#include "test_util.h"
 
 namespace ppm::coeffsearch {
 namespace {
@@ -281,13 +282,8 @@ TEST(SearchCoeff, SearchBeatsOrMatchesPaperTuple) {
 
 class CertStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           "ppm_test_cert_store";
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  const test::TempDir tmp_{"cert_store"};
+  const std::filesystem::path dir_ = tmp_.path();
 };
 
 TEST_F(CertStoreTest, PutLoadRoundTrip) {

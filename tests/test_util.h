@@ -1,8 +1,13 @@
 // Shared helpers for the PPM test suite.
 #pragma once
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "ppm.h"
@@ -44,5 +49,35 @@ inline std::vector<std::uint8_t> fill_and_encode(const ErasureCode& code,
   if (!enc.has_value()) throw std::runtime_error("reference encode failed");
   return stripe.snapshot();
 }
+
+/// A scratch path unique across concurrently running test processes (pid)
+/// and within one (counter), removed when the object goes out of scope.
+/// The path itself is not created: stores create their own directory, and
+/// some tests put a file there instead.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& tag)
+      : path_(std::filesystem::temp_directory_path() /
+              ("ppm_" + tag + "_" + std::to_string(::getpid()) + "_" +
+               std::to_string(next_id()))) {
+    std::filesystem::remove_all(path_);  // a leftover of a recycled pid
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::filesystem::path& path() const { return path_; }
+
+ private:
+  static unsigned next_id() {
+    static std::atomic<unsigned> counter{0};
+    return counter.fetch_add(1);
+  }
+
+  std::filesystem::path path_;
+};
 
 }  // namespace ppm::test

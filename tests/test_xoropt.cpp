@@ -417,26 +417,10 @@ TEST(XorOptCodec, KnobOffLeavesPlansScheduleFree) {
 // reload only after re-proving, and a record whose schedule no longer
 // proves is quarantined — zero trust extends to the optimizer's output.
 
-class StoreDir {
- public:
-  explicit StoreDir(const std::string& tag)
-      : path_(fs::temp_directory_path() /
-              ("ppm_xoropt_" + tag + "_" +
-               std::to_string(static_cast<unsigned long long>(
-                   reinterpret_cast<std::uintptr_t>(this))))) {
-    fs::remove_all(path_);
-  }
-  ~StoreDir() { fs::remove_all(path_); }
-  const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
-
 TEST(XorOptPlanStore, SchedulesRoundTripThroughDisk) {
   const CRSCode code(6, 3, 8);
   const FailureScenario sc = disk_failure(code, 0);
-  StoreDir dir("roundtrip");
+  test::TempDir dir("roundtrip");
 
   Codec::Options options;
   options.optimize_xor = true;
@@ -473,7 +457,7 @@ TEST(XorOptPlanStore, SchedulesRoundTripThroughDisk) {
 TEST(XorOptPlanStore, TamperedScheduleIsQuarantinedOnLoad) {
   const CRSCode code(6, 3, 8);
   const FailureScenario sc = disk_failure(code, 0);
-  StoreDir dir("tamper");
+  test::TempDir dir("tamper");
 
   Codec::Options options;
   options.optimize_xor = true;
