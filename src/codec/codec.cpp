@@ -16,6 +16,39 @@
 
 namespace ppm {
 
+namespace {
+
+// One past the largest block id any sub-plan touches: the length of a
+// block pointer array the sub-plans may index.
+std::size_t block_span(std::span<const SubPlan> groups,
+                       const std::optional<SubPlan>& rest) {
+  std::size_t count = 0;
+  const auto scan = [&count](const SubPlan& p) {
+    for (const std::size_t b : p.survivors()) count = std::max(count, b + 1);
+    for (const std::size_t b : p.unknowns()) count = std::max(count, b + 1);
+  };
+  for (const SubPlan& p : groups) scan(p);
+  if (rest.has_value()) scan(*rest);
+  return count;
+}
+
+// `blocks` advanced by `off` bytes each, for running sub-plans over one
+// byte range of the stripe.
+void offset_blocks(std::uint8_t* const* blocks, std::size_t off,
+                   std::vector<std::uint8_t*>& out) {
+  for (std::size_t b = 0; b < out.size(); ++b) out[b] = blocks[b] + off;
+}
+
+void add_stats(const SubPlan& p, std::size_t block_bytes, DecodeStats* stats) {
+  if (stats == nullptr) return;
+  const DecodeStats st = p.execute_stats(block_bytes);
+  stats->mult_xors += st.mult_xors;
+  stats->bytes_touched += st.bytes_touched;
+  stats->blocks_read += st.blocks_read;
+}
+
+}  // namespace
+
 CachedPlan CachedPlan::assemble(std::vector<SubPlan> groups,
                                 std::optional<SubPlan> rest) {
   CachedPlan plan;
@@ -33,8 +66,21 @@ std::size_t CachedPlan::cost() const {
 
 void CachedPlan::execute(std::uint8_t* const* blocks, std::size_t block_bytes,
                          DecodeStats* stats) const {
-  for (const SubPlan& p : group_plans_) p.execute(blocks, block_bytes, stats);
-  if (rest_plan_.has_value()) rest_plan_->execute(blocks, block_bytes, stats);
+  // Tile-interleaved: every sub-plan runs on one tile of the stripe before
+  // any runs on the next, so the survivor tiles the groups read and the
+  // tiles they recover are still in L2 when H_rest reads them, and each
+  // block crosses the memory bus about once per decode instead of once
+  // per sub-plan reading it. Within a tile the groups precede the rest, as
+  // the DAG requires; every op is symbol-wise, so tiles are independent.
+  std::vector<std::uint8_t*> tile(block_span(group_plans_, rest_plan_));
+  for (std::size_t off = 0; off < block_bytes; off += SubPlan::kTileBytes) {
+    const std::size_t len = std::min(SubPlan::kTileBytes, block_bytes - off);
+    offset_blocks(blocks, off, tile);
+    for (const SubPlan& p : group_plans_) p.execute(tile.data(), len);
+    if (rest_plan_.has_value()) rest_plan_->execute(tile.data(), len);
+  }
+  for (const SubPlan& p : group_plans_) add_stats(p, block_bytes, stats);
+  if (rest_plan_.has_value()) add_stats(*rest_plan_, block_bytes, stats);
 }
 
 bool CachedPlan::execute_placed(std::uint8_t* const* blocks,
@@ -62,7 +108,32 @@ bool CachedPlan::execute_placed(std::uint8_t* const* blocks,
     }
     group.wait();
   }
-  if (rest_plan_.has_value()) rest_plan_->execute(blocks, block_bytes, stats);
+  if (rest_plan_.has_value()) {
+    // H_rest runs after every group, as the DAG's group -> rest edges
+    // require. Its ops are symbol-wise, so it splits by tile ranges across
+    // the lanes (one thread alone would stream all of its survivors); the
+    // calling thread runs the first range itself.
+    const std::size_t tiles =
+        (block_bytes + SubPlan::kTileBytes - 1) / SubPlan::kTileBytes;
+    const std::size_t parts = std::min<std::size_t>(lanes, tiles);
+    const std::size_t count = block_span(group_plans_, rest_plan_);
+    const auto run_part = [this, blocks, block_bytes, tiles, parts,
+                           count](std::size_t l) {
+      const std::size_t begin = tiles * l / parts * SubPlan::kTileBytes;
+      const std::size_t end = std::min(
+          block_bytes, tiles * (l + 1) / parts * SubPlan::kTileBytes);
+      std::vector<std::uint8_t*> part(count);
+      offset_blocks(blocks, begin, part);
+      rest_plan_->execute(part.data(), end - begin);
+    };
+    TaskGroup group(pool);
+    for (std::size_t l = 1; l < parts; ++l) {
+      group.add([&run_part, l] { run_part(l); });
+    }
+    run_part(0);
+    group.wait();
+    add_stats(*rest_plan_, block_bytes, stats);
+  }
   if (stats != nullptr) {
     for (const DecodeStats& st : lane_stats) {
       stats->mult_xors += st.mult_xors;

@@ -94,17 +94,18 @@ class CachedPlan {
   /// (all-zero, !hazard_free) profile — nothing is analyzed there.
   const PlanProfile& profile() const { return profile_; }
 
-  /// Execute on one stripe: groups (serially, in the calling thread) then
-  /// the rest plan. Batch-level parallelism comes from the codec running
-  /// many of these concurrently.
+  /// Execute on one stripe in the calling thread: tile by tile
+  /// (SubPlan::kTileBytes), the groups then the rest plan. Batch-level
+  /// parallelism comes from the codec running many of these concurrently.
   void execute(std::uint8_t* const* blocks, std::size_t block_bytes,
                DecodeStats* stats = nullptr) const;
 
   /// Execute on one stripe with the group fan-out LPT-placed onto up to
   /// `lanes` lanes of `pool` (hazard::place_lpt over the groups' costs —
   /// the same weights the plan's hazard DAG carries); the rest plan runs
-  /// in the calling thread after every group completes, matching the
-  /// DAG's group -> rest edges. Callers must gate on profile().hazard_free
+  /// after every group completes, matching the DAG's group -> rest edges,
+  /// split by tile ranges across the same lanes (its ops are symbol-wise,
+  /// so byte ranges never interact). Callers must gate on profile().hazard_free
   /// — the proof that the groups may run concurrently at all. Falls back
   /// to execute() when there is no exploitable width (lanes < 2 or fewer
   /// than two groups); returns true when the parallel path actually ran.

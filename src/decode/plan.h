@@ -2,8 +2,8 @@
 //
 // Planning turns a set of parity-check rows plus a set of unknown blocks
 // into the small matrices of §II-B/§III-B; execution then applies those
-// matrices to block regions with mult_XOR. The two calculation sequences of
-// the paper are supported:
+// matrices to block regions. The two calculation sequences of the paper are
+// supported:
 //
 //   * Normal      — tmp = S · BS, then BF = F⁻¹ · tmp
 //                   (cost C = u(F⁻¹) + u(S));
@@ -11,9 +11,14 @@
 //                   (cost C = u(F⁻¹ · S)).
 //
 // Costs are exact mult_XOR counts and are what the cost model and the
-// decoders' Auto policies compare.
+// decoders' Auto policies compare. Execution does not issue them one by
+// one: it walks each applied matrix in L1-sized tiles and runs the fused
+// multi-destination dot kernel (gf::DotFn) per batch of up to
+// gf::kMaxDotRows unknowns, so each survivor tile is read once per batch
+// and each output stored once.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -62,10 +67,22 @@ class SubPlan {
   /// Distinct survivor blocks the execution reads (the decode's I/O).
   std::size_t source_blocks() const { return source_blocks_; }
 
+  /// Bytes of every block one kernel pass covers: execute walks blocks in
+  /// tiles of this size, and CachedPlan::execute interleaves its sub-plans
+  /// at the same grain.
+  static constexpr std::size_t kTileBytes = 4 * 1024;
+
+  /// What one execute over `block_bytes`-byte blocks adds to DecodeStats:
+  /// mult_xors = u(applied matrices), bytes_touched = mult_xors ×
+  /// block_bytes, blocks_read = source_blocks().
+  DecodeStats execute_stats(std::size_t block_bytes) const;
+
   /// Apply the plan: read survivor blocks, write unknown blocks.
   /// `blocks[id]` is the region of block `id`; all regions have
   /// `block_bytes` bytes. Thread-safe w.r.t. other SubPlans touching
-  /// disjoint unknown blocks.
+  /// disjoint unknown blocks, and w.r.t. concurrent executes of this plan
+  /// on disjoint blocks. The first execute builds the plan's prepared
+  /// coefficient tables and publishes them once; later ones reuse them.
   void execute(std::uint8_t* const* blocks, std::size_t block_bytes,
                DecodeStats* stats = nullptr) const;
 
@@ -113,6 +130,34 @@ class SubPlan {
   Matrix s_;
   std::size_t cost_ = 0;
   std::size_t source_blocks_ = 0;
+
+  // Kernel-ready coefficient tables (plan.cpp). Built on first execute —
+  // never by make(), which the decodability probes call — and published
+  // with a compare-and-swap; a copied plan starts without them.
+  struct Prepared;
+  class PreparedSlot {
+   public:
+    PreparedSlot() = default;
+    PreparedSlot(const PreparedSlot&) noexcept {}
+    PreparedSlot(PreparedSlot&& o) noexcept : p_(o.p_.exchange(nullptr)) {}
+    PreparedSlot& operator=(const PreparedSlot&) noexcept {
+      reset(nullptr);
+      return *this;
+    }
+    PreparedSlot& operator=(PreparedSlot&& o) noexcept {
+      reset(o.p_.exchange(nullptr));
+      return *this;
+    }
+    ~PreparedSlot() { reset(nullptr); }
+
+    /// The published tables, building them on first use.
+    const Prepared& get(const SubPlan& plan) const;
+
+   private:
+    void reset(const Prepared* next) noexcept;
+    mutable std::atomic<const Prepared*> p_{nullptr};
+  };
+  PreparedSlot prepared_;
 };
 
 }  // namespace ppm

@@ -2,11 +2,18 @@
 //
 // This is the substrate every erasure code in the library sits on. Scalar
 // element arithmetic (used by the tiny matrix computations of the decode
-// planner) lives behind the virtual interface; the performance-critical
-// region primitive mult_XOR — multiply a block region by a constant and
-// XOR-accumulate into a destination region, exactly the paper's
-// mult_XORs(d0, d1, a) — is dispatched to scalar / SSSE3 / AVX2 split-table
-// kernels selected at startup (see common/cpu.h).
+// planner) lives behind the virtual interface. Region work is dispatched to
+// scalar / SSSE3 / AVX2 / AVX-512 split-table kernels selected at startup
+// (see common/cpu.h), in two shapes:
+//
+//   * single-region mult_XOR — multiply a block region by a constant and
+//     XOR-accumulate into a destination, exactly the paper's
+//     mult_XORs(d0, d1, a); it builds the constant's nibble split tables
+//     on every call;
+//   * the multi-destination dot product the decode executor runs — up to
+//     kMaxDotRows outputs from any number of sources, each source read once
+//     and each output stored once, over coefficient tables prepared ahead
+//     of time (Field::prepare) and held by the plan.
 #pragma once
 
 #include <cstddef>
@@ -20,9 +27,9 @@ namespace ppm::gf {
 using Element = std::uint32_t;
 
 /// Region-kernel function: dst ^= c * src (XOR variant) or dst = c * src,
-/// applied symbol-wise over `bytes` bytes. `split` points at the per-call
-/// nibble split tables: (w/4) positions × 16 entries of Element, where
-/// split[16*k + v] = c * (v << 4k) in GF(2^w).
+/// applied symbol-wise over `bytes` bytes. `split` points at nibble split
+/// tables the caller builds for the call: (w/4) positions × 16 entries of
+/// Element, where split[16*k + v] = c * (v << 4k) in GF(2^w).
 using RegionFn = void (*)(std::uint8_t* dst, const std::uint8_t* src,
                           std::size_t bytes, const Element* split);
 
@@ -30,11 +37,37 @@ using RegionFn = void (*)(std::uint8_t* dst, const std::uint8_t* src,
 using XorFn = void (*)(std::uint8_t* dst, const std::uint8_t* src,
                        std::size_t bytes);
 
+/// Most outputs one DotFn call keeps in registers (the R of the fused
+/// executor: a sub-plan with more unknowns runs in batches of rows).
+inline constexpr std::size_t kMaxDotRows = 4;
+
+/// Multi-destination kernel over prepared coefficients (the ISA-L
+/// ec_encode_data shape): for r < rows, dst[r] = Σ_{j<nsrc} c(r,j) · src[j]
+/// symbol-wise over `bytes` bytes. Each source is read once and each
+/// output stored once, by overwriting (nsrc == 0 stores zeros). The
+/// prepared tables of c(r, j) start at tables + (j·rows + r)·stride, where
+/// stride = Field::prepared_bytes(layout) for the bundle's layout.
+/// 1 <= rows <= kMaxDotRows; outputs must not alias sources.
+using DotFn = void (*)(std::uint8_t* const* dst, std::size_t rows,
+                       const std::uint8_t* const* src, std::size_t nsrc,
+                       std::size_t bytes, const std::uint8_t* tables);
+
+/// How a kernel family wants a constant c prepared for DotFn.
+enum class TableLayout {
+  /// 16 · w/4 Elements: split[16k + v] = c · (v << 4k) (scalar kernels).
+  kSplit,
+  /// (w/4) · (w/8) 16-byte lanes, lane (k, b) holding byte b of
+  /// c · (v << 4k) for v < 16 — what pshufb loads directly (SIMD kernels).
+  kLanes,
+};
+
 /// Kernel bundle for one (field width, ISA level) pair.
 struct RegionKernels {
   RegionFn mult_xor = nullptr;   ///< dst ^= c * src
   RegionFn mult_over = nullptr;  ///< dst  = c * src
   XorFn xor_region = nullptr;    ///< dst ^= src (the c == 1 fast path)
+  DotFn dot = nullptr;           ///< multi-destination, prepared tables
+  TableLayout layout = TableLayout::kSplit;  ///< what `dot` reads
 };
 
 /// Return the kernel bundle for width `w` at ISA `level` (always non-null
@@ -94,6 +127,17 @@ class Field {
   /// the Fig. 10 bench); semantics identical to mult_region_xor.
   void mult_region_xor_isa(std::uint8_t* dst, const std::uint8_t* src,
                            Element c, std::size_t bytes, IsaLevel level) const;
+
+  /// Bytes of one prepared coefficient in `layout` (a multiple of 16).
+  std::size_t prepared_bytes(TableLayout layout) const {
+    const std::size_t w_bits = w();
+    return layout == TableLayout::kSplit ? 16 * w_bits : w_bits * w_bits / 2;
+  }
+
+  /// Write the tables of constant c in `layout` to `out`
+  /// (prepared_bytes(layout) bytes, aligned for Element). c == 0 yields
+  /// all-zero tables, so a DotFn treats it as an absent term.
+  void prepare(Element c, TableLayout layout, std::uint8_t* out) const;
 
  protected:
   /// Fill `split` (16 * w/4 entries) with the nibble split tables for c.

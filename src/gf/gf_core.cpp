@@ -1,5 +1,6 @@
 // Field-independent plumbing: the registry, region-op entry points and
-// split-table construction shared by all widths.
+// split-table construction (per call, and prepared once for the dot
+// kernels) shared by all widths.
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -36,6 +37,26 @@ void Field::build_split_tables(Element c, Element* split) const {
     split[16 * k] = 0;
     for (unsigned v = 1; v < 16; ++v) {
       split[16 * k + v] = mul(split[16 * (k - 1) + v], 16);
+    }
+  }
+}
+
+void Field::prepare(Element c, TableLayout layout, std::uint8_t* out) const {
+  Element split[16 * 8];
+  build_split_tables(c, split);
+  const std::size_t positions = w() / 4;
+  if (layout == TableLayout::kSplit) {
+    std::memcpy(out, split, 16 * positions * sizeof(Element));
+    return;
+  }
+  // Lane (k, b) = byte b of every entry of nibble position k.
+  const std::size_t bytes = symbol_bytes();
+  for (std::size_t k = 0; k < positions; ++k) {
+    for (std::size_t b = 0; b < bytes; ++b) {
+      std::uint8_t* lane = out + 16 * (k * bytes + b);
+      for (std::size_t v = 0; v < 16; ++v) {
+        lane[v] = static_cast<std::uint8_t>(split[16 * k + v] >> (8 * b));
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 
 #include <cstring>
 
+#include "gf/dot_simd.h"
 #include "gf/region_kernels.h"
 
 namespace ppm::gf::internal {
@@ -145,6 +146,55 @@ void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
 }
 
+// Vector policy of the dot kernels (gf/dot_simd.h) at 256 bits.
+struct Avx2 {
+  using T = __m256i;
+  static constexpr std::size_t kBytes = 32;
+  static constexpr std::size_t kRegs = 16;
+  static T loadu(const std::uint8_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static void storeu(std::uint8_t* p, T v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static T load_tail(const std::uint8_t* p, std::size_t n) {
+    alignas(32) std::uint8_t b[32] = {};
+    std::memcpy(b, p, n);
+    return loadu(b);
+  }
+  static void store_tail(std::uint8_t* p, T v, std::size_t n) {
+    alignas(32) std::uint8_t b[32];
+    storeu(b, v);
+    std::memcpy(p, b, n);
+  }
+  static T bcast(const std::uint8_t* p) {
+    return _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+  static T zero() { return _mm256_setzero_si256(); }
+  static T set8(char v) { return _mm256_set1_epi8(v); }
+  static T set16(short v) { return _mm256_set1_epi16(v); }
+  static T set32(int v) { return _mm256_set1_epi32(v); }
+  static T xor_(T a, T b) { return _mm256_xor_si256(a, b); }
+  static T and_(T a, T b) { return _mm256_and_si256(a, b); }
+  static T shuffle(T table, T idx) { return _mm256_shuffle_epi8(table, idx); }
+  static T srli64(T v, unsigned n) {
+    return _mm256_srli_epi64(v, static_cast<int>(n));
+  }
+  static T srli16(T v, unsigned n) {
+    return _mm256_srli_epi16(v, static_cast<int>(n));
+  }
+  static T slli16(T v, unsigned n) {
+    return _mm256_slli_epi16(v, static_cast<int>(n));
+  }
+  static T srli32(T v, unsigned n) {
+    return _mm256_srli_epi32(v, static_cast<int>(n));
+  }
+  static T slli32(T v, unsigned n) {
+    return _mm256_slli_epi32(v, static_cast<int>(n));
+  }
+};
+
 }  // namespace
 
 void mult_xor_avx2_w8(std::uint8_t* dst, const std::uint8_t* src,
@@ -170,6 +220,22 @@ void mult_over_avx2_w16(std::uint8_t* dst, const std::uint8_t* src,
 void mult_over_avx2_w32(std::uint8_t* dst, const std::uint8_t* src,
                         std::size_t bytes, const Element* split) {
   run_w32<false>(dst, src, bytes, split);
+}
+
+void dot_avx2_w8(std::uint8_t* const* dst, std::size_t rows,
+                 const std::uint8_t* const* src, std::size_t nsrc,
+                 std::size_t bytes, const std::uint8_t* tables) {
+  dot<Avx2, DotW8<Avx2>>(dst, rows, src, nsrc, bytes, tables);
+}
+void dot_avx2_w16(std::uint8_t* const* dst, std::size_t rows,
+                  const std::uint8_t* const* src, std::size_t nsrc,
+                  std::size_t bytes, const std::uint8_t* tables) {
+  dot<Avx2, DotW16<Avx2>>(dst, rows, src, nsrc, bytes, tables);
+}
+void dot_avx2_w32(std::uint8_t* const* dst, std::size_t rows,
+                  const std::uint8_t* const* src, std::size_t nsrc,
+                  std::size_t bytes, const std::uint8_t* tables) {
+  dot<Avx2, DotW32<Avx2>>(dst, rows, src, nsrc, bytes, tables);
 }
 
 void xor_avx2(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes) {

@@ -7,6 +7,7 @@
 
 #include <cstring>
 
+#include "gf/dot_simd.h"
 #include "gf/region_kernels.h"
 
 namespace ppm::gf::internal {
@@ -142,6 +143,43 @@ void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
 }
 
+// Vector policy of the dot kernels (gf/dot_simd.h) at 512 bits; tails use
+// byte-masked loads and stores.
+struct Avx512 {
+  using T = __m512i;
+  static constexpr std::size_t kBytes = 64;
+  static constexpr std::size_t kRegs = 32;
+  static __mmask64 mask(std::size_t n) { return (__mmask64{1} << n) - 1; }
+  static T loadu(const std::uint8_t* p) {
+    return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
+  }
+  static void storeu(std::uint8_t* p, T v) {
+    _mm512_storeu_si512(reinterpret_cast<void*>(p), v);
+  }
+  static T load_tail(const std::uint8_t* p, std::size_t n) {
+    return _mm512_maskz_loadu_epi8(mask(n), p);
+  }
+  static void store_tail(std::uint8_t* p, T v, std::size_t n) {
+    _mm512_mask_storeu_epi8(p, mask(n), v);
+  }
+  static T bcast(const std::uint8_t* p) {
+    return _mm512_broadcast_i32x4(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+  static T zero() { return _mm512_setzero_si512(); }
+  static T set8(char v) { return _mm512_set1_epi8(v); }
+  static T set16(short v) { return _mm512_set1_epi16(v); }
+  static T set32(int v) { return _mm512_set1_epi32(v); }
+  static T xor_(T a, T b) { return _mm512_xor_si512(a, b); }
+  static T and_(T a, T b) { return _mm512_and_si512(a, b); }
+  static T shuffle(T table, T idx) { return _mm512_shuffle_epi8(table, idx); }
+  static T srli64(T v, unsigned n) { return _mm512_srli_epi64(v, n); }
+  static T srli16(T v, unsigned n) { return _mm512_srli_epi16(v, n); }
+  static T slli16(T v, unsigned n) { return _mm512_slli_epi16(v, n); }
+  static T srli32(T v, unsigned n) { return _mm512_srli_epi32(v, n); }
+  static T slli32(T v, unsigned n) { return _mm512_slli_epi32(v, n); }
+};
+
 }  // namespace
 
 void mult_xor_avx512_w8(std::uint8_t* dst, const std::uint8_t* src,
@@ -167,6 +205,22 @@ void mult_over_avx512_w16(std::uint8_t* dst, const std::uint8_t* src,
 void mult_over_avx512_w32(std::uint8_t* dst, const std::uint8_t* src,
                           std::size_t bytes, const Element* split) {
   run_w32<false>(dst, src, bytes, split);
+}
+
+void dot_avx512_w8(std::uint8_t* const* dst, std::size_t rows,
+                   const std::uint8_t* const* src, std::size_t nsrc,
+                   std::size_t bytes, const std::uint8_t* tables) {
+  dot<Avx512, DotW8<Avx512>>(dst, rows, src, nsrc, bytes, tables);
+}
+void dot_avx512_w16(std::uint8_t* const* dst, std::size_t rows,
+                    const std::uint8_t* const* src, std::size_t nsrc,
+                    std::size_t bytes, const std::uint8_t* tables) {
+  dot<Avx512, DotW16<Avx512>>(dst, rows, src, nsrc, bytes, tables);
+}
+void dot_avx512_w32(std::uint8_t* const* dst, std::size_t rows,
+                    const std::uint8_t* const* src, std::size_t nsrc,
+                    std::size_t bytes, const std::uint8_t* tables) {
+  dot<Avx512, DotW32<Avx512>>(dst, rows, src, nsrc, bytes, tables);
 }
 
 void xor_avx512(std::uint8_t* dst, const std::uint8_t* src,

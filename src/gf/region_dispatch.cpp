@@ -18,26 +18,41 @@ constexpr unsigned width_index(unsigned w) {
 #if defined(__x86_64__) || defined(__i386__)
 constexpr RegionKernels kTable[3][4] = {
     // w = 8
-    {{mult_xor_scalar_w8, mult_over_scalar_w8, xor_scalar},
-     {mult_xor_ssse3_w8, mult_over_ssse3_w8, xor_sse2},
-     {mult_xor_avx2_w8, mult_over_avx2_w8, xor_avx2},
-     {mult_xor_avx512_w8, mult_over_avx512_w8, xor_avx512}},
+    {{mult_xor_scalar_w8, mult_over_scalar_w8, xor_scalar, dot_scalar_w8,
+      TableLayout::kSplit},
+     {mult_xor_ssse3_w8, mult_over_ssse3_w8, xor_sse2, dot_ssse3_w8,
+      TableLayout::kLanes},
+     {mult_xor_avx2_w8, mult_over_avx2_w8, xor_avx2, dot_avx2_w8,
+      TableLayout::kLanes},
+     {mult_xor_avx512_w8, mult_over_avx512_w8, xor_avx512, dot_avx512_w8,
+      TableLayout::kLanes}},
     // w = 16
-    {{mult_xor_scalar_w16, mult_over_scalar_w16, xor_scalar},
-     {mult_xor_ssse3_w16, mult_over_ssse3_w16, xor_sse2},
-     {mult_xor_avx2_w16, mult_over_avx2_w16, xor_avx2},
-     {mult_xor_avx512_w16, mult_over_avx512_w16, xor_avx512}},
+    {{mult_xor_scalar_w16, mult_over_scalar_w16, xor_scalar, dot_scalar_w16,
+      TableLayout::kSplit},
+     {mult_xor_ssse3_w16, mult_over_ssse3_w16, xor_sse2, dot_ssse3_w16,
+      TableLayout::kLanes},
+     {mult_xor_avx2_w16, mult_over_avx2_w16, xor_avx2, dot_avx2_w16,
+      TableLayout::kLanes},
+     {mult_xor_avx512_w16, mult_over_avx512_w16, xor_avx512, dot_avx512_w16,
+      TableLayout::kLanes}},
     // w = 32
-    {{mult_xor_scalar_w32, mult_over_scalar_w32, xor_scalar},
-     {mult_xor_ssse3_w32, mult_over_ssse3_w32, xor_sse2},
-     {mult_xor_avx2_w32, mult_over_avx2_w32, xor_avx2},
-     {mult_xor_avx512_w32, mult_over_avx512_w32, xor_avx512}},
+    {{mult_xor_scalar_w32, mult_over_scalar_w32, xor_scalar, dot_scalar_w32,
+      TableLayout::kSplit},
+     {mult_xor_ssse3_w32, mult_over_ssse3_w32, xor_sse2, dot_ssse3_w32,
+      TableLayout::kLanes},
+     {mult_xor_avx2_w32, mult_over_avx2_w32, xor_avx2, dot_avx2_w32,
+      TableLayout::kLanes},
+     {mult_xor_avx512_w32, mult_over_avx512_w32, xor_avx512, dot_avx512_w32,
+      TableLayout::kLanes}},
 };
 #else
 constexpr RegionKernels kScalarOnly[3] = {
-    {mult_xor_scalar_w8, mult_over_scalar_w8, xor_scalar},
-    {mult_xor_scalar_w16, mult_over_scalar_w16, xor_scalar},
-    {mult_xor_scalar_w32, mult_over_scalar_w32, xor_scalar},
+    {mult_xor_scalar_w8, mult_over_scalar_w8, xor_scalar, dot_scalar_w8,
+     TableLayout::kSplit},
+    {mult_xor_scalar_w16, mult_over_scalar_w16, xor_scalar, dot_scalar_w16,
+     TableLayout::kSplit},
+    {mult_xor_scalar_w32, mult_over_scalar_w32, xor_scalar, dot_scalar_w32,
+     TableLayout::kSplit},
 };
 #endif
 

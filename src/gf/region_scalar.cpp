@@ -2,6 +2,7 @@
 // These are the reference implementations every SIMD kernel is tested
 // against, and the fallback on non-x86 hosts.
 #include <cstring>
+#include <type_traits>
 
 #include "gf/region_kernels.h"
 
@@ -67,6 +68,50 @@ void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
 }
 
+// Multi-destination dot over Element split tables (TableLayout::kSplit):
+// per symbol, each source is read once and its product with each of the
+// Rows coefficients accumulates in a register.
+template <unsigned W, std::size_t Rows>
+void dot_rows(std::uint8_t* const* dst, const std::uint8_t* const* src,
+              std::size_t nsrc, std::size_t bytes,
+              const std::uint8_t* tables) {
+  using Sym = std::conditional_t<
+      W == 8, std::uint8_t,
+      std::conditional_t<W == 16, std::uint16_t, std::uint32_t>>;
+  constexpr std::size_t kTable = 16 * (W / 4);  // Elements per coefficient
+  const auto* split = reinterpret_cast<const Element*>(tables);
+  for (std::size_t i = 0; i < bytes; i += sizeof(Sym)) {
+    Element acc[Rows] = {};
+    for (std::size_t j = 0; j < nsrc; ++j) {
+      Sym s = 0;
+      std::memcpy(&s, src[j] + i, sizeof(Sym));
+      const Element* t = split + j * Rows * kTable;
+      for (std::size_t r = 0; r < Rows; ++r) {
+        for (std::size_t k = 0; k < W / 4; ++k) {
+          acc[r] ^= t[r * kTable + 16 * k + ((s >> (4 * k)) & 0xFU)];
+        }
+      }
+    }
+    for (std::size_t r = 0; r < Rows; ++r) {
+      const auto p = static_cast<Sym>(acc[r]);
+      std::memcpy(dst[r] + i, &p, sizeof(Sym));
+    }
+  }
+}
+
+template <unsigned W>
+void dot(std::uint8_t* const* dst, std::size_t rows,
+         const std::uint8_t* const* src, std::size_t nsrc, std::size_t bytes,
+         const std::uint8_t* tables) {
+  static_assert(kMaxDotRows == 4);
+  switch (rows) {
+    case 1: return dot_rows<W, 1>(dst, src, nsrc, bytes, tables);
+    case 2: return dot_rows<W, 2>(dst, src, nsrc, bytes, tables);
+    case 3: return dot_rows<W, 3>(dst, src, nsrc, bytes, tables);
+    default: return dot_rows<W, 4>(dst, src, nsrc, bytes, tables);
+  }
+}
+
 }  // namespace
 
 void mult_xor_scalar_w8(std::uint8_t* dst, const std::uint8_t* src,
@@ -92,6 +137,22 @@ void mult_over_scalar_w16(std::uint8_t* dst, const std::uint8_t* src,
 void mult_over_scalar_w32(std::uint8_t* dst, const std::uint8_t* src,
                           std::size_t bytes, const Element* split) {
   run_w32<false>(dst, src, bytes, split);
+}
+
+void dot_scalar_w8(std::uint8_t* const* dst, std::size_t rows,
+                   const std::uint8_t* const* src, std::size_t nsrc,
+                   std::size_t bytes, const std::uint8_t* tables) {
+  dot<8>(dst, rows, src, nsrc, bytes, tables);
+}
+void dot_scalar_w16(std::uint8_t* const* dst, std::size_t rows,
+                    const std::uint8_t* const* src, std::size_t nsrc,
+                    std::size_t bytes, const std::uint8_t* tables) {
+  dot<16>(dst, rows, src, nsrc, bytes, tables);
+}
+void dot_scalar_w32(std::uint8_t* const* dst, std::size_t rows,
+                    const std::uint8_t* const* src, std::size_t nsrc,
+                    std::size_t bytes, const std::uint8_t* tables) {
+  dot<32>(dst, rows, src, nsrc, bytes, tables);
 }
 
 void xor_scalar(std::uint8_t* dst, const std::uint8_t* src,

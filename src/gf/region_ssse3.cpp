@@ -17,6 +17,7 @@
 
 #include <cstring>
 
+#include "gf/dot_simd.h"
 #include "gf/region_kernels.h"
 
 namespace ppm::gf::internal {
@@ -157,6 +158,52 @@ void run_w32(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes,
   }
 }
 
+// Vector policy of the dot kernels (gf/dot_simd.h) at 128 bits.
+struct Sse {
+  using T = __m128i;
+  static constexpr std::size_t kBytes = 16;
+  static constexpr std::size_t kRegs = 16;
+  static T loadu(const std::uint8_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  }
+  static void storeu(std::uint8_t* p, T v) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+  }
+  static T load_tail(const std::uint8_t* p, std::size_t n) {
+    alignas(16) std::uint8_t b[16] = {};
+    std::memcpy(b, p, n);
+    return loadu(b);
+  }
+  static void store_tail(std::uint8_t* p, T v, std::size_t n) {
+    alignas(16) std::uint8_t b[16];
+    storeu(b, v);
+    std::memcpy(p, b, n);
+  }
+  static T bcast(const std::uint8_t* p) { return loadu(p); }
+  static T zero() { return _mm_setzero_si128(); }
+  static T set8(char v) { return _mm_set1_epi8(v); }
+  static T set16(short v) { return _mm_set1_epi16(v); }
+  static T set32(int v) { return _mm_set1_epi32(v); }
+  static T xor_(T a, T b) { return _mm_xor_si128(a, b); }
+  static T and_(T a, T b) { return _mm_and_si128(a, b); }
+  static T shuffle(T table, T idx) { return _mm_shuffle_epi8(table, idx); }
+  static T srli64(T v, unsigned n) {
+    return _mm_srli_epi64(v, static_cast<int>(n));
+  }
+  static T srli16(T v, unsigned n) {
+    return _mm_srli_epi16(v, static_cast<int>(n));
+  }
+  static T slli16(T v, unsigned n) {
+    return _mm_slli_epi16(v, static_cast<int>(n));
+  }
+  static T srli32(T v, unsigned n) {
+    return _mm_srli_epi32(v, static_cast<int>(n));
+  }
+  static T slli32(T v, unsigned n) {
+    return _mm_slli_epi32(v, static_cast<int>(n));
+  }
+};
+
 }  // namespace
 
 void mult_xor_ssse3_w8(std::uint8_t* dst, const std::uint8_t* src,
@@ -182,6 +229,22 @@ void mult_over_ssse3_w16(std::uint8_t* dst, const std::uint8_t* src,
 void mult_over_ssse3_w32(std::uint8_t* dst, const std::uint8_t* src,
                          std::size_t bytes, const Element* split) {
   run_w32<false>(dst, src, bytes, split);
+}
+
+void dot_ssse3_w8(std::uint8_t* const* dst, std::size_t rows,
+                  const std::uint8_t* const* src, std::size_t nsrc,
+                  std::size_t bytes, const std::uint8_t* tables) {
+  dot<Sse, DotW8<Sse>>(dst, rows, src, nsrc, bytes, tables);
+}
+void dot_ssse3_w16(std::uint8_t* const* dst, std::size_t rows,
+                   const std::uint8_t* const* src, std::size_t nsrc,
+                   std::size_t bytes, const std::uint8_t* tables) {
+  dot<Sse, DotW16<Sse>>(dst, rows, src, nsrc, bytes, tables);
+}
+void dot_ssse3_w32(std::uint8_t* const* dst, std::size_t rows,
+                   const std::uint8_t* const* src, std::size_t nsrc,
+                   std::size_t bytes, const std::uint8_t* tables) {
+  dot<Sse, DotW32<Sse>>(dst, rows, src, nsrc, bytes, tables);
 }
 
 void xor_sse2(std::uint8_t* dst, const std::uint8_t* src, std::size_t bytes) {

@@ -10,12 +10,9 @@
 // inputs arrive and lets the hedging policy duplicate reads that are
 // taking too long.
 //
-// Two backends:
-//  * ThreadedAsyncSource (here) — a thread-backed reactor multiplexing
-//    reads over any concurrency-tolerant io::BlockSource. Works
-//    everywhere, no kernel support needed; this is the default.
-//  * UringFileSource (uring_source.h) — io_uring-backed file reads,
-//    compiled only when <liburing.h> is present (PPM_WITH_IOURING).
+// The backend, ThreadedAsyncSource (here), is a thread-backed reactor
+// multiplexing reads over any concurrency-tolerant io::BlockSource. It
+// works everywhere and needs no kernel support.
 //
 // Concurrency contract: submit() and poll() are individually thread-safe,
 // but completions are delivered to whichever caller polls — a source is

@@ -113,8 +113,8 @@ struct OverlapResult {
   /// must let them finish before returning. A hedge win therefore shows
   /// up as an early last_read_complete_ns / rest_solve_start_ns — the
   /// solves and verification overlap the straggler's tail — while
-  /// total_ns stays pinned to the slowest issued read. An io_uring
-  /// backend with read cancellation could cut that tail too.
+  /// total_ns stays pinned to the slowest issued read: the threaded
+  /// reactor cannot cancel a blocking read.
   std::int64_t total_ns = 0;
   std::vector<GroupTiming> groups;
 

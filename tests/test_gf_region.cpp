@@ -77,6 +77,59 @@ TEST_P(RegionKernelTest, EveryConstantSmallRegion) {
   }
 }
 
+TEST_P(RegionKernelTest, DotMatchesReference) {
+  // Every row count, zero and many sources, vector bodies with tails; the
+  // outputs start as garbage and must be overwritten.
+  Rng rng(21);
+  const unsigned sym = f().symbol_bytes();
+  const RegionKernels& k = kernels_for(f().w(), isa());
+  const std::size_t stride = f().prepared_bytes(k.layout);
+  for (std::size_t rows = 1; rows <= kMaxDotRows; ++rows) {
+    for (const std::size_t nsrc : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{3}, std::size_t{17}}) {
+      for (const std::size_t symbols :
+           {std::size_t{1}, std::size_t{15}, std::size_t{16},
+            std::size_t{17}, std::size_t{100}, std::size_t{333}}) {
+        const std::size_t bytes = symbols * sym;
+        std::vector<std::vector<std::uint8_t>> srcs;
+        std::vector<const std::uint8_t*> src;
+        for (std::size_t j = 0; j < nsrc; ++j) {
+          srcs.push_back(random_bytes(rng, bytes));
+          src.push_back(srcs.back().data());
+        }
+        std::vector<Element> coeff(rows * nsrc);
+        std::vector<std::uint8_t> tables(coeff.size() * stride + 16);
+        auto* aligned = reinterpret_cast<std::uint8_t*>(
+            (reinterpret_cast<std::uintptr_t>(tables.data()) + 15) &
+            ~std::uintptr_t{15});
+        for (std::size_t j = 0; j < nsrc; ++j) {
+          for (std::size_t r = 0; r < rows; ++r) {
+            Element& c = coeff[j * rows + r];
+            c = static_cast<Element>(rng.next()) & f().max_element();
+            if (rng.next() % 4 == 0) c = rng.next() % 2;  // 0 and 1 too
+            f().prepare(c, k.layout, aligned + (j * rows + r) * stride);
+          }
+        }
+        std::vector<std::vector<std::uint8_t>> expect(
+            rows, std::vector<std::uint8_t>(bytes, 0));
+        std::vector<std::vector<std::uint8_t>> actual;
+        std::vector<std::uint8_t*> dst;
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t j = 0; j < nsrc; ++j) {
+            reference_mult_xor(f(), expect[r].data(), src[j],
+                               coeff[j * rows + r], bytes);
+          }
+          actual.push_back(random_bytes(rng, bytes));
+          dst.push_back(actual.back().data());
+        }
+        k.dot(dst.data(), rows, src.data(), nsrc, bytes, aligned);
+        ASSERT_EQ(actual, expect)
+            << "rows=" << rows << " nsrc=" << nsrc << " symbols=" << symbols;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, RegionKernelTest,
     ::testing::Combine(::testing::Values(8u, 16u, 32u),
@@ -191,6 +244,7 @@ TEST(KernelDispatch, RequestsAreCappedAtDetectedLevel) {
     EXPECT_NE(k.mult_xor, nullptr);
     EXPECT_NE(k.mult_over, nullptr);
     EXPECT_NE(k.xor_region, nullptr);
+    EXPECT_NE(k.dot, nullptr);
     if (avail == IsaLevel::kScalar) {
       EXPECT_EQ(k.mult_xor, kernels_for(w, IsaLevel::kScalar).mult_xor);
     }

@@ -21,7 +21,6 @@
 #include "io/fault_injection.h"
 #include "serve/overlap.h"
 #include "serve/server.h"
-#include "serve/uring_source.h"
 #include "test_util.h"
 #include "workload/scenario_gen.h"
 
@@ -108,17 +107,6 @@ TEST(AsyncSource, PollWithNothingInFlightReturnsImmediately) {
   std::vector<serve::ReadCompletion> done;
   EXPECT_EQ(async.poll(done, std::chrono::seconds{10}), 0u);
   EXPECT_TRUE(done.empty());
-}
-
-TEST(AsyncSource, UringBackendDegradesGracefully) {
-  // Without liburing the factory reports unavailable and returns null —
-  // callers need no #ifdef. With it, a bogus path still fails cleanly.
-  if (!serve::uring_available()) {
-    EXPECT_EQ(serve::make_uring_source("/nonexistent", 4, 512), nullptr);
-  } else {
-    EXPECT_EQ(serve::make_uring_source("/nonexistent/path/x", 4, 512),
-              nullptr);
-  }
 }
 
 // ---- readiness sets from the hazard DAG ---------------------------------
