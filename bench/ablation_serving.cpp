@@ -58,7 +58,6 @@ int main() {
 
   serve::OverlapOptions overlap;
   overlap.hedge.enabled = false;
-  overlap.reactor_threads = 32;
   serve::OverlapOptions hedged = overlap;
   hedged.hedge.enabled = true;
 

@@ -20,7 +20,7 @@
 // Thread-safety is per-implementation: the resilient pipeline issues
 // reads serially from the decoding thread and needs none, but the async
 // serving layer (serve/async_source.h) multiplexes concurrent read()
-// calls from reactor threads, so sources handed to it must tolerate
+// calls from its read-pool workers, so sources handed to it must tolerate
 // concurrent read() with distinct `dst` buffers. MemoryBlockSource
 // (const backing, pure copy) and FaultInjectingSource (internally
 // locked) both do.

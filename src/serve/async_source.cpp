@@ -1,45 +1,152 @@
 #include "serve/async_source.h"
 
 #include <algorithm>
+#include <deque>
+#include <system_error>
+#include <thread>
 
 #include "common/metrics.h"
 #include "common/timer.h"
 
 namespace ppm::serve {
 
-ThreadedAsyncSource::ThreadedAsyncSource(io::BlockSource& inner,
-                                         unsigned reactor_threads)
-    : inner_(&inner) {
-  if (reactor_threads == 0) reactor_threads = 1;
-  reactors_.reserve(reactor_threads);
-  for (unsigned i = 0; i < reactor_threads; ++i) {
-    reactors_.emplace_back([this] { reactor_loop(); });
+/// The process-wide blocking-read pool behind every ThreadedAsyncSource
+/// (growth rule and ceiling: async_source.h).
+class ReadPool {
+ public:
+  ReadPool() { workers_.reserve(kReadPoolMaxWorkers); }
+  ReadPool(const ReadPool&) = delete;
+  ReadPool& operator=(const ReadPool&) = delete;
+  ~ReadPool() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    work_cv_.notify_all();
+    // jthread members join on destruction.
   }
-}
 
-ThreadedAsyncSource::~ThreadedAsyncSource() {
+  static ReadPool& shared() {
+    static ReadPool pool;
+    return pool;
+  }
+
+  struct Op {
+    ThreadedAsyncSource* owner = nullptr;
+    std::uint64_t token = 0;
+    std::size_t block = 0;
+    std::uint8_t* dst = nullptr;
+    std::size_t bytes = 0;
+  };
+
+  void enqueue(const Op& op, bool ahead) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      // Every idle worker takes one queued op; grow when this op would
+      // find none.
+      if (queue_.size() + 1 > idle_ && workers_.size() < kReadPoolMaxWorkers) {
+        try {
+          workers_.emplace_back([this] { worker_loop(); });
+          ++idle_;
+        } catch (const std::system_error&) {
+          // Out of threads: the existing workers serve the op later.
+          if (workers_.empty()) throw;
+        }
+      }
+      auto at = queue_.end();
+      if (ahead) {
+        at = std::find_if(queue_.begin(), queue_.end(),
+                          [&](const Op& q) { return q.owner == op.owner; });
+      }
+      queue_.insert(at, op);
+    }
+    work_cv_.notify_one();
+  }
+
+  /// Drop `owner`'s queued ops unread.
+  void remove(const ThreadedAsyncSource* owner) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::erase_if(queue_, [&](const Op& q) { return q.owner == owner; });
+  }
+
+  std::size_t workers() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return workers_.size();
+  }
+
+ private:
+  void worker_loop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (stop_) return;
+      const Op op = queue_.front();
+      queue_.pop_front();
+      --idle_;
+      // Marked running before the pool lock drops, so a concurrent
+      // cancel() either removed the op from the queue or waits for it.
+      op.owner->started(op.token);
+      lock.unlock();
+
+      const Timer clock;
+      const io::ReadStatus status =
+          op.owner->inner_->read(op.block, op.dst, op.bytes);
+      serve_metrics().read_seconds.record_nanos(
+          static_cast<std::uint64_t>(clock.nanos()));
+      if (status != io::ReadStatus::kOk) serve_metrics().reads_failed.add();
+      op.owner->finished(ReadCompletion{op.token, op.block, status});
+
+      lock.lock();
+      ++idle_;
+    }
+  }
+
+  mutable std::mutex mutex_;
+  std::condition_variable work_cv_;  ///< workers wait for queued ops
+  std::deque<Op> queue_;
+  std::size_t idle_ = 0;  ///< workers not inside an op
+  bool stop_ = false;
+  std::vector<std::jthread> workers_;  ///< last member: joins first
+};
+
+std::size_t read_pool_workers() { return ReadPool::shared().workers(); }
+
+ThreadedAsyncSource::ThreadedAsyncSource(io::BlockSource& inner)
+    : inner_(&inner) {}
+
+ThreadedAsyncSource::~ThreadedAsyncSource() { cancel(); }
+
+std::uint64_t ThreadedAsyncSource::enqueue(std::size_t block,
+                                           std::uint8_t* dst,
+                                           std::size_t bytes, bool ahead) {
+  std::uint64_t token = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
+    token = next_token_++;
+    ++in_flight_;
   }
-  work_cv_.notify_all();
-  // jthread members join on destruction; pending ops past stop_ are
-  // abandoned (the owner is gone, nobody could poll their completions).
+  try {
+    ReadPool::shared().enqueue(ReadPool::Op{this, token, block, dst, bytes},
+                               ahead);
+  } catch (...) {  // no worker could be started: nothing was queued
+    const std::lock_guard<std::mutex> lock(mutex_);
+    --in_flight_;
+    throw;
+  }
+  serve_metrics().reads_submitted.add();
+  return token;
 }
 
 std::uint64_t ThreadedAsyncSource::submit(std::size_t block,
                                           std::uint8_t* dst,
                                           std::size_t bytes) {
-  std::uint64_t token;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    token = next_token_++;
-    pending_.push_back(Op{token, block, dst, bytes});
-    ++in_flight_;
-  }
-  work_cv_.notify_one();
-  serve_metrics().reads_submitted.add();
-  return token;
+  return enqueue(block, dst, bytes, false);
+}
+
+std::uint64_t ThreadedAsyncSource::submit_ahead(std::size_t block,
+                                                std::uint8_t* dst,
+                                                std::size_t bytes) {
+  return enqueue(block, dst, bytes, true);
 }
 
 std::size_t ThreadedAsyncSource::poll(std::vector<ReadCompletion>& out,
@@ -62,27 +169,36 @@ std::size_t ThreadedAsyncSource::in_flight() const {
   return in_flight_;
 }
 
-void ThreadedAsyncSource::reactor_loop() {
-  for (;;) {
-    Op op;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stop_ || !pending_.empty(); });
-      if (stop_) return;
-      op = pending_.front();
-      pending_.pop_front();
-    }
-    const Timer clock;
-    const io::ReadStatus status = inner_->read(op.block, op.dst, op.bytes);
-    serve_metrics().read_seconds.record_nanos(
-        static_cast<std::uint64_t>(clock.nanos()));
-    if (status != io::ReadStatus::kOk) serve_metrics().reads_failed.add();
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      done_.push_back(ReadCompletion{op.token, op.block, status});
-    }
-    done_cv_.notify_one();
+void ThreadedAsyncSource::started_before(
+    std::chrono::steady_clock::time_point cutoff,
+    std::vector<std::uint64_t>& tokens) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const Running& r : running_) {
+    if (r.since < cutoff) tokens.push_back(r.token);
   }
+}
+
+void ThreadedAsyncSource::cancel() {
+  ReadPool::shared().remove(this);
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_cv_.wait(lock, [this] { return running_.empty(); });
+  done_.clear();
+  in_flight_ = 0;
+}
+
+void ThreadedAsyncSource::started(std::uint64_t token) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  running_.push_back(Running{token, std::chrono::steady_clock::now()});
+}
+
+void ThreadedAsyncSource::finished(const ReadCompletion& done) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::erase_if(running_,
+                [&](const Running& r) { return r.token == done.token; });
+  done_.push_back(done);
+  // Notify under the lock: once cancel() can observe an empty running_
+  // it may return and this handle (done_cv_ included) may be destroyed.
+  done_cv_.notify_all();
 }
 
 }  // namespace ppm::serve

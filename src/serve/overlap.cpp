@@ -4,8 +4,8 @@
 #include <condition_variable>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "analyze_hazard/hazard.h"
@@ -27,7 +27,7 @@ struct BlockFetch {
   std::size_t outstanding = 0;   ///< attempts in flight
   std::size_t failures = 0;      ///< failed/corrupt completions consumed
   std::size_t hedges = 0;        ///< duplicate reads issued
-  std::int64_t last_submit_ns = 0;
+  std::uint64_t latest = 0;      ///< token of the newest attempt
 };
 
 /// One in-flight attempt, keyed by its completion token.
@@ -78,12 +78,8 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
   if (plan == nullptr) return fall_back();
   const hazard::PlanReadiness ready = hazard::plan_readiness(*plan);
 
-  std::unique_ptr<ThreadedAsyncSource> owned_async;
-  if (async == nullptr) {
-    owned_async = std::make_unique<ThreadedAsyncSource>(
-        source, options.reactor_threads);
-    async = owned_async.get();
-  }
+  std::optional<ThreadedAsyncSource> owned_async;
+  if (async == nullptr) async = &owned_async.emplace(source);
 
   const std::size_t block_count = source.block_count();
   const bool has_digests = !expected_crc.empty();
@@ -102,28 +98,19 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
       free_scratch.pop_back();
     }
     const std::int64_t now = clock.nanos();
+    std::uint8_t* dst = scratch[idx].data();
     const std::uint64_t token =
-        async->submit(block, scratch[idx].data(), block_bytes);
+        hedge ? async->submit_ahead(block, dst, block_bytes)
+              : async->submit(block, dst, block_bytes);
     attempts.emplace(token, Attempt{block, idx, now, hedge});
     BlockFetch& f = fetch[block];
     ++f.outstanding;
-    f.last_submit_ns = now;
+    f.latest = token;
     ++out.reads_issued;
     if (hedge) {
       ++f.hedges;
       ++out.hedges_launched;
       metrics.hedges_launched.add();
-    }
-  };
-
-  // Completions can outlive this frame only if we leave attempts in
-  // flight, so every exit path drains the reactor before the scratch
-  // buffers (and `async` itself, when owned) are destroyed.
-  const auto drain_async = [&]() {
-    std::vector<ReadCompletion> sink;
-    while (async->in_flight() > 0) {
-      sink.clear();
-      async->poll(sink, std::chrono::milliseconds{5});
     }
   };
 
@@ -196,7 +183,7 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
   std::size_t needed = 0;
   for (const std::size_t b : ready.all_inputs) {
     if (b >= block_count) {  // malformed plan — let the ladder classify it
-      drain_async();
+      async->cancel();
       wait_groups();
       return fall_back();
     }
@@ -240,6 +227,7 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
   std::size_t arrived = 0;
   bool fetch_failed = false;
   std::vector<ReadCompletion> completions;
+  std::vector<std::uint64_t> overdue;
   while (arrived < needed && !fetch_failed && !deadline_passed()) {
     completions.clear();
     async->poll(completions, options.poll_interval);
@@ -293,19 +281,29 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
     if (options.hedge.enabled && arrived < needed && !fetch_failed) {
       const std::int64_t threshold = hedge_threshold_ns();
       if (threshold != kNever) {
-        const std::int64_t now = clock.nanos();
-        for (const std::size_t b : ready.all_inputs) {
-          BlockFetch& f = fetch[b];
-          if (f.arrived || f.outstanding == 0) continue;
+        // Age counts from when the read began, not from submit: a read
+        // still queued says nothing about its disk. A block is hedged
+        // only through its newest attempt, so a queued or young hedge
+        // holds off the next one.
+        overdue.clear();
+        async->started_before(std::chrono::steady_clock::now() -
+                                  std::chrono::nanoseconds{threshold},
+                              overdue);
+        for (const std::uint64_t token : overdue) {
+          const auto it = attempts.find(token);
+          if (it == attempts.end()) continue;  // completed since
+          const std::size_t b = it->second.block;
+          const BlockFetch& f = fetch[b];
+          if (f.arrived || f.latest != token) continue;
           if (f.hedges >= options.hedge.max_hedges_per_read) continue;
-          if (now - f.last_submit_ns > threshold) issue(b, true);
+          issue(b, true);
         }
       }
     }
   }
 
   if (arrived < needed) {  // fetch failure or deadline — degrade
-    drain_async();
+    async->cancel();
     wait_groups();
     return fall_back();
   }
@@ -315,7 +313,11 @@ OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
     out.rest_solve_start_ns = clock.nanos();
     plan->rest()->execute(blocks, block_bytes, &out.stats);
   }
-  drain_async();  // late hedge losers may still be in flight
+  // Started reads write into this frame's scratch buffers, so every exit
+  // path cancels `async` before they are destroyed: queued attempts are
+  // dropped unread and only the reads already in service (hedge losers
+  // included) are waited for.
+  async->cancel();
 
   // VERIFY rung: recovered blocks must match their digests; a mismatch
   // is handed to the ladder, which re-reads and classifies corruption.

@@ -10,14 +10,21 @@
 // group finishing and on full survivor arrival, matching the plan's
 // hazard-DAG edges.
 //
-// Straggler mitigation is hedging, not just deadlines: once an
-// outstanding read's age exceeds the observed read-latency quantile (or
-// a fraction of the decode deadline, whichever is sooner), a duplicate
-// read is issued into its own scratch buffer. First clean completion
-// wins and is copied into the caller's block exactly once; later
-// completions of the same block are discarded (counted as wasted).
-// Per-attempt scratch buffers are what make the race benign — no two
-// in-flight attempts ever share a destination.
+// Straggler mitigation is hedging, not just deadlines: once a read has
+// been in service (inside the source's read(), not merely queued) longer
+// than the observed read-latency quantile (or a fraction of the decode
+// deadline, whichever is sooner), a duplicate read is issued into its own
+// scratch buffer, ahead of the decode's unstarted reads. A block is
+// re-hedged only once its newest attempt has itself been in service that
+// long. First clean completion wins and is copied into the caller's
+// block exactly once; later completions of the same block are discarded
+// (counted as wasted). Per-attempt scratch buffers are what make the race
+// benign — no two in-flight attempts ever share a destination.
+//
+// Reads run on the process-wide read pool (async_source.h) through a
+// per-call ThreadedAsyncSource handle unless the caller supplies one.
+// Every exit path cancels the handle: attempts still queued are dropped
+// unread, and only the reads already in service are waited for.
 //
 // The fast path never sleeps and never retries with backoff; a read that
 // fails (or fails its CRC) is resubmitted immediately up to the
@@ -51,11 +58,12 @@ namespace ppm::serve {
 /// and no hedge fires.
 struct HedgePolicy {
   bool enabled = true;
-  /// Hedge reads older than this quantile of observed read latency.
+  /// Hedge reads in service longer than this quantile of observed read
+  /// latency.
   double latency_quantile = 0.95;
   /// Completed reads needed before the quantile estimate is trusted.
   std::size_t min_samples = 4;
-  /// Hedge reads older than this fraction of the decode deadline.
+  /// Hedge reads in service longer than this fraction of the deadline.
   double deadline_fraction = 0.25;
   /// Floor under both signals — never hedge faster than this.
   std::chrono::nanoseconds min_hedge_delay{50'000};
@@ -67,9 +75,6 @@ struct OverlapOptions {
   HedgePolicy hedge;
   /// Retry budget, deadline and (for the fallback ladder) backoff.
   ResilienceOptions resilience;
-  /// Reactor threads when decode_overlapped builds its own
-  /// ThreadedAsyncSource (a caller-supplied AsyncBlockSource wins).
-  unsigned reactor_threads = 4;
   /// Solver pool for the group fan-out; nullptr = ThreadPool::shared().
   /// Used only when the plan's profile is hazard_free with >= 2 groups —
   /// otherwise group solves run in the event-loop thread (still
@@ -107,14 +112,14 @@ struct OverlapResult {
   std::int64_t first_solve_start_ns = -1;
   std::int64_t last_read_complete_ns = -1;  ///< last needed input landed
   std::int64_t rest_solve_start_ns = -1;
-  /// Wall time of the whole call. Includes the final reactor drain:
-  /// abandoned attempts (hedge losers, reads the decode no longer needs)
-  /// write into buffers this frame owns, so the thread-backed backend
-  /// must let them finish before returning. A hedge win therefore shows
-  /// up as an early last_read_complete_ns / rest_solve_start_ns — the
-  /// solves and verification overlap the straggler's tail — while
-  /// total_ns stays pinned to the slowest issued read: the threaded
-  /// reactor cannot cancel a blocking read.
+  /// Wall time of the whole call. Includes the final cancel: attempts
+  /// still queued are dropped unread, but reads already in service
+  /// (hedge losers, reads the decode no longer needs) write into buffers
+  /// this frame owns, and a blocking read cannot be abandoned, so they
+  /// finish before the call returns. A hedge win therefore shows up as
+  /// an early last_read_complete_ns / rest_solve_start_ns — the solves
+  /// and verification overlap the straggler's tail — while total_ns stays
+  /// pinned to the slowest *started* read.
   std::int64_t total_ns = 0;
   std::vector<GroupTiming> groups;
 
@@ -123,8 +128,9 @@ struct OverlapResult {
 
 /// Decode one stripe with concurrent, hedged survivor fetch and
 /// readiness-overlapped group solves. `source` is the fallback ladder's
-/// (and, when `async` is null, the reactor's) read path; `async`, when
-/// given, must wrap the same underlying data. `blocks`/`block_bytes` and
+/// (and, when `async` is null, the read pool's) read path; `async`, when
+/// given, must wrap the same underlying data and is cancelled before the
+/// call returns. `blocks`/`block_bytes` and
 /// `expected_crc` follow Codec::decode_resilient's contract.
 OverlapResult decode_overlapped(Codec& codec, const FailureScenario& scenario,
                                 io::BlockSource& source,

@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -48,7 +51,7 @@ std::vector<std::uint32_t> digests_of(const std::vector<std::uint8_t>& snap,
   return crc;
 }
 
-// ---- AsyncBlockSource: the thread-backed reactor ------------------------
+// ---- AsyncBlockSource: per-decode handles over the shared read pool -----
 
 TEST(AsyncSource, CompletionsCarryTheRightBytes) {
   const std::size_t kBlocks = 6;
@@ -59,7 +62,7 @@ TEST(AsyncSource, CompletionsCarryTheRightBytes) {
   }
   const auto ptrs = snapshot_ptrs(data, kBlocks, kBytes);
   MemoryBlockSource inner(ptrs.data(), kBlocks, kBytes);
-  serve::ThreadedAsyncSource async(inner, 3);
+  serve::ThreadedAsyncSource async(inner);
   EXPECT_EQ(async.block_count(), kBlocks);
   EXPECT_EQ(async.block_bytes(), kBytes);
 
@@ -89,7 +92,7 @@ TEST(AsyncSource, FailedReadsCompleteWithFailedStatus) {
   std::vector<std::uint8_t> data(64);
   const std::uint8_t* ptr = data.data();
   MemoryBlockSource inner(&ptr, 1, 64);
-  serve::ThreadedAsyncSource async(inner, 1);
+  serve::ThreadedAsyncSource async(inner);
   std::vector<std::uint8_t> dst(64);
   const std::uint64_t token = async.submit(7, dst.data(), 64);  // no block 7
   std::vector<serve::ReadCompletion> done;
@@ -103,10 +106,236 @@ TEST(AsyncSource, PollWithNothingInFlightReturnsImmediately) {
   std::vector<std::uint8_t> data(64);
   const std::uint8_t* ptr = data.data();
   MemoryBlockSource inner(&ptr, 1, 64);
-  serve::ThreadedAsyncSource async(inner, 2);
+  serve::ThreadedAsyncSource async(inner);
   std::vector<serve::ReadCompletion> done;
   EXPECT_EQ(async.poll(done, std::chrono::seconds{10}), 0u);
   EXPECT_TRUE(done.empty());
+}
+
+// ---- ReadPool: the process-wide blocking-read workers -------------------
+
+/// Pass-through source that counts threads and concurrent reads.
+class ConcurrencyProbe : public io::BlockSource {
+ public:
+  explicit ConcurrencyProbe(io::BlockSource& inner) : inner_(inner) {}
+  std::size_t block_count() const override { return inner_.block_count(); }
+  std::size_t block_bytes() const override { return inner_.block_bytes(); }
+  io::ReadStatus read(std::size_t block, std::uint8_t* dst,
+                      std::size_t bytes) override {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      threads_.insert(std::this_thread::get_id());
+      peak_ = std::max(peak_, ++active_);
+    }
+    const io::ReadStatus status = inner_.read(block, dst, bytes);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    --active_;
+    return status;
+  }
+  std::size_t threads() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return threads_.size();
+  }
+  std::size_t peak() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return peak_;
+  }
+
+ private:
+  io::BlockSource& inner_;
+  mutable std::mutex mutex_;
+  std::set<std::thread::id> threads_;
+  std::size_t active_ = 0;
+  std::size_t peak_ = 0;
+};
+
+/// Submit one read of every block of `async` and poll until all land.
+std::vector<serve::ReadCompletion> read_all(
+    serve::AsyncBlockSource& async, std::vector<std::vector<std::uint8_t>>& dst,
+    std::vector<std::uint64_t>& tokens) {
+  const std::size_t blocks = async.block_count();
+  dst.assign(blocks, std::vector<std::uint8_t>(async.block_bytes()));
+  tokens.resize(blocks);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    tokens[b] = async.submit(b, dst[b].data(), async.block_bytes());
+  }
+  std::vector<serve::ReadCompletion> done;
+  while (done.size() < blocks) async.poll(done, std::chrono::milliseconds{50});
+  return done;
+}
+
+TEST(ReadPool, StragglersHoldAWorkerNotTheQueue) {
+  // 16 reads delayed 100 ms beside 32 fast ones. Four reactor threads
+  // would take 16/4 = 4 delays; the pool sleeps them all at once. The
+  // first round warms the pool up (thread creation is slow under
+  // sanitizers); the second round is timed.
+  constexpr std::size_t kBlocks = 48;
+  constexpr auto kDelay = std::chrono::milliseconds{100};
+  std::vector<std::uint8_t> data(kBlocks * 64, 0x5A);
+  const auto ptrs = snapshot_ptrs(data, kBlocks, 64);
+  MemoryBlockSource inner(ptrs.data(), kBlocks, 64);
+  FaultInjectingSource source(inner);
+  FaultSpec straggler;
+  straggler.delay = kDelay;
+  for (std::size_t b = 0; b < kBlocks; b += 3) source.set_fault(b, straggler);
+
+  serve::ThreadedAsyncSource async(source);
+  std::vector<std::vector<std::uint8_t>> dst;
+  std::vector<std::uint64_t> tokens;
+  EXPECT_EQ(read_all(async, dst, tokens).size(), kBlocks);
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto done = read_all(async, dst, tokens);
+  const auto wall = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(done.size(), kBlocks);
+  EXPECT_GE(wall, kDelay);
+  EXPECT_LT(wall, 2 * kDelay);
+  EXPECT_LE(serve::read_pool_workers(), serve::kReadPoolMaxWorkers);
+}
+
+TEST(ReadPool, ConcurrentHandlesEachPollOnlyTheirOwnReads) {
+  constexpr std::size_t kBlocks = 40;
+  constexpr std::size_t kBytes = 96;
+  std::vector<std::vector<std::uint8_t>> data(2);
+  std::vector<std::vector<const std::uint8_t*>> ptrs(2);
+  for (std::size_t h = 0; h < 2; ++h) {
+    data[h].resize(kBlocks * kBytes);
+    for (std::size_t i = 0; i < data[h].size(); ++i) {
+      data[h][i] = static_cast<std::uint8_t>(i * (h + 3) + h * 101);
+    }
+    ptrs[h] = snapshot_ptrs(data[h], kBlocks, kBytes);
+  }
+  const auto run = [&](std::size_t h) {
+    MemoryBlockSource inner(ptrs[h].data(), kBlocks, kBytes);
+    FaultInjectingSource source(inner);
+    FaultSpec straggler;  // keep both handles' reads in flight together
+    straggler.delay = std::chrono::milliseconds{5};
+    for (std::size_t b = h; b < kBlocks; b += 4) source.set_fault(b, straggler);
+    serve::ThreadedAsyncSource async(source);
+    for (int round = 0; round < 5; ++round) {
+      std::vector<std::vector<std::uint8_t>> dst;
+      std::vector<std::uint64_t> tokens;
+      const auto done = read_all(async, dst, tokens);
+      // Exactly this handle's tokens, each once, with this source's bytes.
+      EXPECT_EQ(done.size(), kBlocks);
+      std::vector<bool> seen(kBlocks, false);
+      for (const serve::ReadCompletion& c : done) {
+        ASSERT_LT(c.block, kBlocks);
+        EXPECT_FALSE(seen[c.block]);
+        seen[c.block] = true;
+        EXPECT_EQ(c.token, tokens[c.block]);
+        EXPECT_EQ(c.status, io::ReadStatus::kOk);
+        EXPECT_EQ(std::memcmp(dst[c.block].data(), ptrs[h][c.block], kBytes),
+                  0);
+      }
+      EXPECT_EQ(async.in_flight(), 0u);
+    }
+  };
+  std::thread other(run, 1);
+  run(0);
+  other.join();
+}
+
+/// Holds every pool worker inside a read() that blocks until release(),
+/// so reads submitted in between stay queued.
+class PoolSaturator {
+ public:
+  PoolSaturator()
+      : dst_(serve::kReadPoolMaxWorkers, std::vector<std::uint8_t>(16)),
+        async_(gate_) {
+    for (std::size_t b = 0; b < serve::kReadPoolMaxWorkers; ++b) {
+      async_.submit(b, dst_[b].data(), 16);
+    }
+    gate_.wait_entered(serve::kReadPoolMaxWorkers);
+  }
+  ~PoolSaturator() { release(); }  // async_ then waits for its reads
+  PoolSaturator(const PoolSaturator&) = delete;
+  PoolSaturator& operator=(const PoolSaturator&) = delete;
+
+  void release() { gate_.open(); }
+
+ private:
+  class Gate : public io::BlockSource {
+   public:
+    std::size_t block_count() const override {
+      return serve::kReadPoolMaxWorkers;
+    }
+    std::size_t block_bytes() const override { return 16; }
+    io::ReadStatus read(std::size_t, std::uint8_t* dst,
+                        std::size_t bytes) override {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ++entered_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+      std::memset(dst, 0, bytes);
+      return io::ReadStatus::kOk;
+    }
+    void wait_entered(std::size_t n) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [&] { return entered_ >= n; });
+    }
+    void open() {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+      cv_.notify_all();
+    }
+
+   private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::size_t entered_ = 0;
+    bool open_ = false;
+  };
+
+  Gate gate_;
+  std::vector<std::vector<std::uint8_t>> dst_;
+  serve::ThreadedAsyncSource async_;  ///< last: waits for its reads first
+};
+
+TEST(ReadPool, DestroyedHandleNeverReadsItsQueuedOps) {
+  PoolSaturator busy;
+  std::vector<std::uint8_t> data(8 * 32, 1);
+  const auto ptrs = snapshot_ptrs(data, 8, 32);
+  MemoryBlockSource inner(ptrs.data(), 8, 32);
+  FaultInjectingSource source(inner);
+  std::vector<std::vector<std::uint8_t>> dst(8, std::vector<std::uint8_t>(32));
+  {
+    serve::ThreadedAsyncSource async(source);
+    for (std::size_t b = 0; b < 8; ++b) async.submit(b, dst[b].data(), 32);
+    EXPECT_EQ(async.in_flight(), 8u);
+  }
+  // The destructor returned while every worker was still held, so it
+  // dropped the queued ops instead of waiting for them; once the workers
+  // are free, none of those ops may reach read().
+  busy.release();
+  std::this_thread::sleep_for(std::chrono::milliseconds{20});
+  EXPECT_EQ(source.reads_attempted(), 0u);
+}
+
+TEST(ReadPool, WorkersNeverExceedTheCeiling) {
+  // Twice the ceiling's worth of delayed reads: the pool must cap its
+  // threads and run them in two rounds rather than start one per read.
+  constexpr std::size_t kReads = 2 * serve::kReadPoolMaxWorkers;
+  constexpr auto kDelay = std::chrono::milliseconds{60};
+  std::vector<std::uint8_t> data(kReads * 16, 7);
+  const auto ptrs = snapshot_ptrs(data, kReads, 16);
+  MemoryBlockSource inner(ptrs.data(), kReads, 16);
+  FaultInjectingSource faults(inner);
+  FaultSpec straggler;
+  straggler.delay = kDelay;
+  for (std::size_t b = 0; b < kReads; ++b) faults.set_fault(b, straggler);
+  ConcurrencyProbe probe(faults);
+
+  serve::ThreadedAsyncSource async(probe);
+  std::vector<std::vector<std::uint8_t>> dst;
+  std::vector<std::uint64_t> tokens;
+  const auto start = std::chrono::steady_clock::now();
+  const auto done = read_all(async, dst, tokens);
+  EXPECT_EQ(done.size(), kReads);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 2 * kDelay);
+  EXPECT_LE(probe.peak(), serve::kReadPoolMaxWorkers);
+  EXPECT_LE(probe.threads(), serve::kReadPoolMaxWorkers);
+  EXPECT_LE(serve::read_pool_workers(), serve::kReadPoolMaxWorkers);
 }
 
 // ---- readiness sets from the hazard DAG ---------------------------------
@@ -226,8 +455,8 @@ TEST(Overlap, HedgeClipsTransientStraggler) {
   // A transient straggler (first attempt stuck, duplicates fast) must be
   // beaten by a hedged read: every needed input lands — and the solves
   // run — far below the straggler's delay. (total_ns still includes the
-  // final reactor drain: the abandoned primary writes into frame-owned
-  // scratch, so the thread-backed backend must let it finish.)
+  // final cancel: the abandoned primary is already inside read() and
+  // writes into frame-owned scratch, so it must finish first.)
   const SDCode code(6, 8, 2, 2, SDCode::recommended_width(6, 8));
   ScenarioGenerator gen(0xAB3A);
   const auto g = gen.sd_worst_case(code, 2, 2, 1);
@@ -260,6 +489,41 @@ TEST(Overlap, HedgeClipsTransientStraggler) {
   EXPECT_LT(out.last_read_complete_ns, 200'000'000);
   EXPECT_GE(out.rest_solve_start_ns, 0);
   EXPECT_LT(out.rest_solve_start_ns, 200'000'000);
+}
+
+TEST(Overlap, NoHedgeForAReadThatHasNotStarted) {
+  // Every pool worker is held by another handle's slow read, so this
+  // decode's reads wait in the queue far past the hedge threshold. Age
+  // counts from service start, so none of them may be hedged.
+  const RSCode code(6, 3, 8);
+  Codec codec(code);
+  Stripe stripe(code, 512);
+  const auto snap = test::fill_and_encode(code, stripe, 12);
+  const FailureScenario sc({1});
+  stripe.erase(sc);
+  const auto ptrs = snapshot_ptrs(snap, code.total_blocks(), 512);
+  MemoryBlockSource source(ptrs.data(), code.total_blocks(), 512);
+  const auto plan = codec.plan_for(sc);
+  ASSERT_NE(plan, nullptr);
+  const std::size_t needed = hazard::plan_readiness(*plan).all_inputs.size();
+  serve::OverlapOptions options;
+  options.resilience.deadline = std::chrono::seconds{2};
+  options.hedge.deadline_fraction = 0.02;  // hedge past 40 ms in service
+
+  PoolSaturator busy;
+  const std::jthread releaser([&busy] {
+    std::this_thread::sleep_for(std::chrono::milliseconds{150});
+    busy.release();
+  });
+  const auto out = serve::decode_overlapped(codec, sc, source,
+                                            stripe.block_ptrs(), 512, options);
+  EXPECT_TRUE(out.complete);
+  EXPECT_FALSE(out.fallback);
+  EXPECT_TRUE(stripe.equals(snap));
+  // The reads sat queued well past the 40 ms threshold.
+  EXPECT_GE(out.last_read_complete_ns, 100'000'000);
+  EXPECT_EQ(out.hedges_launched, 0u);
+  EXPECT_EQ(out.reads_issued, needed);
 }
 
 TEST(Overlap, TransientFailuresRetryWithoutFallback) {
@@ -417,7 +681,6 @@ TEST(DecodeServer, BackpressureRejectsWhenQueueIsFull) {
   options.queue_depth = 1;
   options.dispatchers = 1;
   options.overlap.hedge.enabled = false;  // hedges would defeat the stall
-  options.overlap.reactor_threads = 32;   // stragglers sleep concurrently
   serve::DecodeServer server(codec, options);
 
   // Request 0 stalls the lone dispatcher: every survivor read sleeps.
@@ -475,7 +738,6 @@ TEST(DecodeServer, BatchesQueuedRequestsSharingAPlan) {
   serve::ServerOptions options;
   options.dispatchers = 1;
   options.overlap.hedge.enabled = false;
-  options.overlap.reactor_threads = 32;
   serve::DecodeServer server(codec, options);
   ServeMetrics& metrics = serve_metrics();
   const std::size_t batches_before = metrics.batches.value();

@@ -21,7 +21,7 @@
 //   ppm_cli serve    --code <family> [params]      decode-serving campaign:
 //                    [--sweep <disks>] [--seed S] [--rounds R]   async fetch +
 //                    [--requests N] [--straggle P] [--delay-us U]  hedged reads
-//                    [--queue D] [--dispatchers N] [--reactors N]  + overlapped
+//                    [--queue D] [--dispatchers N]       + overlapped
 //                    [--serial 0|1] [--assert-ratio P] [--assert-floor-us U]
 //                    [--scrub-rate-kbps K]   group solves vs the serial
 //                    resilient baseline, optionally beside a rate-limited
@@ -947,8 +947,6 @@ int cmd_serve(const ErasureCode& code, const Args& args) {
   serve::ServerOptions sopts;
   sopts.queue_depth = args.get("queue", 64);
   sopts.dispatchers = static_cast<unsigned>(args.get("dispatchers", 2));
-  sopts.overlap.reactor_threads =
-      static_cast<unsigned>(args.get("reactors", 32));
   sopts.overlap.resilience.max_read_retries = retries;
 
   struct PhaseStats {
