@@ -40,27 +40,14 @@ class ReadPool {
   };
 
   void enqueue(const Op& op, bool ahead) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      // Every idle worker takes one queued op; grow when this op would
-      // find none.
-      if (queue_.size() + 1 > idle_ && workers_.size() < kReadPoolMaxWorkers) {
-        try {
-          workers_.emplace_back([this] { worker_loop(); });
-          ++idle_;
-        } catch (const std::system_error&) {
-          // Out of threads: the existing workers serve the op later.
-          if (workers_.empty()) throw;
-        }
-      }
-      auto at = queue_.end();
-      if (ahead) {
-        at = std::find_if(queue_.begin(), queue_.end(),
-                          [&](const Op& q) { return q.owner == op.owner; });
-      }
-      queue_.insert(at, op);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (wakeups_ == 0) wake_one();  // nobody is on the way to the queue
+    auto at = queue_.end();
+    if (ahead) {
+      at = std::find_if(queue_.begin(), queue_.end(),
+                        [&](const Op& q) { return q.owner == op.owner; });
     }
-    work_cv_.notify_one();
+    queue_.insert(at, op);
   }
 
   /// Drop `owner`'s queued ops unread.
@@ -75,36 +62,65 @@ class ReadPool {
   }
 
  private:
+  /// Send one idle worker to the queue, starting one when none is idle.
+  /// Caller holds mutex_. At the ceiling with every worker busy, the op
+  /// waits for the first worker to come back from read().
+  void wake_one() {
+    if (sleeping_ > wakeups_) {
+      ++wakeups_;
+      work_cv_.notify_one();
+    } else if (workers_.size() < kReadPoolMaxWorkers) {
+      try {
+        workers_.emplace_back([this] { worker_loop(); });
+        ++wakeups_;  // the new worker consumes it on arrival
+      } catch (const std::system_error&) {
+        // Out of threads: a busy worker serves the op when it returns,
+        // unless there is none at all.
+        if (workers_.empty()) throw;
+      }
+    }
+  }
+
   void worker_loop() {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      ++sleeping_;
+      work_cv_.wait(lock, [this] { return stop_ || wakeups_ > 0; });
+      --sleeping_;
       if (stop_) return;
-      const Op op = queue_.front();
-      queue_.pop_front();
-      --idle_;
-      // Marked running before the pool lock drops, so a concurrent
-      // cancel() either removed the op from the queue or waits for it.
-      op.owner->started(op.token);
-      lock.unlock();
+      --wakeups_;
+      while (!queue_.empty()) {
+        const Op op = queue_.front();
+        queue_.pop_front();
+        // Hand the rest of the queue to the next worker before reading:
+        // if this read straggles, the ops behind it do not wait for it.
+        // (wake_one cannot throw here: this worker exists.)
+        if (!queue_.empty() && wakeups_ == 0) wake_one();
+        // Marked running before the pool lock drops, so a concurrent
+        // cancel() either removed the op from the queue or waits for it.
+        op.owner->started(op.token);
+        lock.unlock();
 
-      const Timer clock;
-      const io::ReadStatus status =
-          op.owner->inner_->read(op.block, op.dst, op.bytes);
-      serve_metrics().read_seconds.record_nanos(
-          static_cast<std::uint64_t>(clock.nanos()));
-      if (status != io::ReadStatus::kOk) serve_metrics().reads_failed.add();
-      op.owner->finished(ReadCompletion{op.token, op.block, status});
+        const Timer clock;
+        const io::ReadStatus status =
+            op.owner->inner_->read(op.block, op.dst, op.bytes);
+        serve_metrics().read_seconds.record_nanos(
+            static_cast<std::uint64_t>(clock.nanos()));
+        if (status != io::ReadStatus::kOk) serve_metrics().reads_failed.add();
+        op.owner->finished(ReadCompletion{op.token, op.block, status});
 
-      lock.lock();
-      ++idle_;
+        lock.lock();
+      }
     }
   }
 
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< workers wait for queued ops
+  std::condition_variable work_cv_;  ///< sleeping workers wait for wakeups_
   std::deque<Op> queue_;
-  std::size_t idle_ = 0;  ///< workers not inside an op
+  std::size_t sleeping_ = 0;  ///< workers blocked on work_cv_
+  /// Workers sent to the queue that have not reached it yet, 0 or 1: a
+  /// burst of fast reads is served by as few workers as keep up with it.
+  std::size_t wakeups_ = 0;
   bool stop_ = false;
   std::vector<std::jthread> workers_;  ///< last member: joins first
 };

@@ -17,11 +17,15 @@
 // The shared read pool. A synchronous read() holds its thread for the
 // read's whole duration, so a straggler must hold a worker, not the
 // queue. The pool starts empty (nothing is created until the first
-// submit) and grows by one worker whenever an op is queued while no
-// idle worker is left to take it (each idle worker counts as claimed by
-// one queued op), up to kReadPoolMaxWorkers. Workers only ever block, on
-// the pool's condition variable or inside read(); there is no spinning
-// and, after warm-up, no per-request thread creation. Idle workers do
+// submit). At most one worker is ever on its way to the queue: when an
+// op is queued and none is, one idle worker is woken, or, if no worker is
+// idle, one is started, up to kReadPoolMaxWorkers. A worker that takes
+// an op sends the next one before it reads, if ops remain. So a burst of
+// fast reads is served by as few workers as keep up with it, while each
+// straggler that parks its worker makes room for the next. Workers only
+// ever block, on the pool's condition variable or inside read(); there
+// is no spinning and, after warm-up, no per-request thread creation.
+// Idle workers do
 // not retire: a parked worker costs a stack and nothing else, while
 // retiring would bring back the thread create/join cost on the next
 // burst of stragglers, which is what the pool exists to remove. The
