@@ -25,13 +25,12 @@
 // straggler that parks its worker makes room for the next. Workers only
 // ever block, on the pool's condition variable or inside read(); there
 // is no spinning and, after warm-up, no per-request thread creation.
-// Idle workers do
-// not retire: a parked worker costs a stack and nothing else, while
-// retiring would bring back the thread create/join cost on the next
-// burst of stragglers, which is what the pool exists to remove. The
-// ceiling bounds what the process can ever hold. Ops queue FIFO across
-// handles; a hedge (submit_ahead) goes ahead of its own handle's queued
-// ops, never ahead of another handle's.
+// Idle workers do not retire: a parked worker costs a stack and nothing
+// else, while retiring would bring back the thread create/join cost on
+// the next burst of stragglers, which is what the pool exists to remove.
+// The ceiling bounds what the process can ever hold. Ops queue FIFO
+// across handles; a hedge (submit_ahead) goes ahead of its own handle's
+// queued ops, never ahead of another handle's.
 //
 // Per-handle routing. Each handle keeps its own in-flight count,
 // completion list and condition variable: a worker hands a completion

@@ -165,8 +165,8 @@ std::vector<serve::ReadCompletion> read_all(
 }
 
 TEST(ReadPool, StragglersHoldAWorkerNotTheQueue) {
-  // 16 reads delayed 100 ms beside 32 fast ones. Four reactor threads
-  // would take 16/4 = 4 delays; the pool sleeps them all at once. The
+  // 16 reads delayed 100 ms beside 32 fast ones. A fixed four-thread
+  // pool would take 16/4 = 4 delays; this pool sleeps them all at once. The
   // first round warms the pool up (thread creation is slow under
   // sanitizers); the second round is timed.
   constexpr std::size_t kBlocks = 48;
