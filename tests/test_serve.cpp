@@ -253,6 +253,9 @@ class PoolSaturator {
   PoolSaturator& operator=(const PoolSaturator&) = delete;
 
   void release() { gate_.open(); }
+  /// Let exactly one held read finish: its worker then serves the
+  /// queue alone, one op at a time, in queue order.
+  void release_one() { gate_.open_one(); }
 
  private:
   class Gate : public io::BlockSource {
@@ -266,7 +269,8 @@ class PoolSaturator {
       std::unique_lock<std::mutex> lock(mutex_);
       ++entered_;
       cv_.notify_all();
-      cv_.wait(lock, [this] { return open_; });
+      cv_.wait(lock, [this] { return open_ || permits_ > 0; });
+      if (!open_) --permits_;
       std::memset(dst, 0, bytes);
       return io::ReadStatus::kOk;
     }
@@ -279,11 +283,17 @@ class PoolSaturator {
       open_ = true;
       cv_.notify_all();
     }
+    void open_one() {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++permits_;
+      cv_.notify_all();
+    }
 
    private:
     std::mutex mutex_;
     std::condition_variable cv_;
     std::size_t entered_ = 0;
+    std::size_t permits_ = 0;
     bool open_ = false;
   };
 
@@ -310,6 +320,47 @@ TEST(ReadPool, DestroyedHandleNeverReadsItsQueuedOps) {
   busy.release();
   std::this_thread::sleep_for(std::chrono::milliseconds{20});
   EXPECT_EQ(source.reads_attempted(), 0u);
+}
+
+/// Records the order in which blocks reach read().
+class ReadOrder : public io::BlockSource {
+ public:
+  std::size_t block_count() const override { return 8; }
+  std::size_t block_bytes() const override { return 16; }
+  io::ReadStatus read(std::size_t block, std::uint8_t* dst,
+                      std::size_t bytes) override {
+    std::memset(dst, static_cast<int>(block), bytes);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    order_.push_back(block);
+    return io::ReadStatus::kOk;
+  }
+  std::vector<std::size_t> order() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return order_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<std::size_t> order_;
+};
+
+TEST(ReadPool, SubmitAheadPassesOnlyItsOwnHandlesQueuedOps) {
+  PoolSaturator busy;
+  ReadOrder source;
+  std::vector<std::vector<std::uint8_t>> dst(6, std::vector<std::uint8_t>(16));
+  serve::ThreadedAsyncSource a(source);
+  serve::ThreadedAsyncSource b(source);
+  a.submit(0, dst[0].data(), 16);
+  a.submit(1, dst[1].data(), 16);
+  b.submit(3, dst[3].data(), 16);
+  b.submit(4, dst[4].data(), 16);
+  a.submit_ahead(2, dst[2].data(), 16);
+  b.submit_ahead(5, dst[5].data(), 16);
+  busy.release_one();  // one worker drains the queue in order
+  std::vector<serve::ReadCompletion> done;
+  while (a.in_flight() > 0) a.poll(done, std::chrono::milliseconds{50});
+  while (b.in_flight() > 0) b.poll(done, std::chrono::milliseconds{50});
+  EXPECT_EQ(source.order(), (std::vector<std::size_t>{2, 0, 1, 5, 3, 4}));
 }
 
 TEST(ReadPool, WorkersNeverExceedTheCeiling) {
